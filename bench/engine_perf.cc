@@ -415,7 +415,14 @@ struct MemoryPoint {
   bool measured = false;
   double fabric_bytes_per_conn = 0;    // Host + NIC + links + switch port.
   double endpoint_bytes_per_conn = 0;  // Both TCP endpoints + estimator.
+
+  double total_bytes_per_conn() const { return fabric_bytes_per_conn + endpoint_bytes_per_conn; }
 };
+
+// Per-connection memory budget. Far above it (at ~175 KB/connection) the
+// 100k-connection shard curve is OOM-killed on a 16 GB runner, so the
+// memory phase aborts with a message first.
+constexpr double kMaxBytesPerConnection = 32 * 1024;
 
 MemoryPoint MeasureConnectionMemory(bool smoke) {
   MemoryPoint point;
@@ -572,8 +579,12 @@ int Main(int argc, char** argv) {
         "\nconnection memory (%llu connections): fabric %.0f B/conn, endpoints %.0f B/conn, "
         "total %.0f B/conn\n",
         static_cast<unsigned long long>(memory.connections), memory.fabric_bytes_per_conn,
-        memory.endpoint_bytes_per_conn,
-        memory.fabric_bytes_per_conn + memory.endpoint_bytes_per_conn);
+        memory.endpoint_bytes_per_conn, memory.total_bytes_per_conn());
+    if (memory.total_bytes_per_conn() > kMaxBytesPerConnection) {
+      std::fprintf(stderr, "FATAL: %.0f B/connection exceeds the %.0f B budget\n",
+                   memory.total_bytes_per_conn(), kMaxBytesPerConnection);
+      std::abort();
+    }
   } else {
     std::printf("\nconnection memory: not measurable on this platform\n");
   }
@@ -687,8 +698,7 @@ int Main(int argc, char** argv) {
   json.KV("connections", memory.connections);
   json.KV("fabric_bytes_per_connection", memory.fabric_bytes_per_conn, 0);
   json.KV("endpoint_bytes_per_connection", memory.endpoint_bytes_per_conn, 0);
-  json.KV("total_bytes_per_connection",
-          memory.fabric_bytes_per_conn + memory.endpoint_bytes_per_conn, 0);
+  json.KV("total_bytes_per_connection", memory.total_bytes_per_conn(), 0);
   json.EndObject();
   json.Key("fleet").BeginObject();
   json.KV("connections", static_cast<uint64_t>(fleet_clients));

@@ -10,9 +10,8 @@
 // of entities stays cheap. Entities are reported in registration order,
 // which the topology builder keeps deterministic.
 //
-// Lives in src/obs (it is pure observation plumbing shared by the trace and
-// time-series layers); src/testbed/registry.h forwards here for existing
-// includes.
+// Lives in src/obs: it is pure observation plumbing shared by the trace and
+// time-series layers.
 
 #ifndef SRC_OBS_REGISTRY_H_
 #define SRC_OBS_REGISTRY_H_

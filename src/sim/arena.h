@@ -1,24 +1,11 @@
-// Chunked object arena: bump-allocates objects of one type in fixed-size
-// contiguous blocks and destroys them all at arena teardown, in reverse
-// allocation order. There is no per-object free — the intended use is
-// populations that only grow over a run (e.g. a host's TCP endpoints, where
-// even closed endpoints must stay allocated because queued CPU work and
-// in-flight packets may still reference them).
-//
-// Compared to one heap allocation per object this drops the allocator
-// header/rounding overhead and gives sequential-iteration locality, which
-// is what lets 100k-1M connection fleets fit in memory (DESIGN.md §16).
-// Object addresses are stable for the arena's lifetime.
-
 #ifndef SRC_SIM_ARENA_H_
 #define SRC_SIM_ARENA_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
-#include <new>
-#include <utility>
 #include <vector>
 
 namespace e2e {
@@ -87,46 +74,6 @@ class ArenaMemoryResource : public std::pmr::memory_resource {
   size_t next_chunk_bytes_;
   size_t bytes_allocated_ = 0;
   size_t bytes_reserved_ = 0;
-};
-
-template <typename T, size_t kChunkObjects = 64>
-class ObjectArena {
- public:
-  ObjectArena() = default;
-  ObjectArena(const ObjectArena&) = delete;
-  ObjectArena& operator=(const ObjectArena&) = delete;
-
-  ~ObjectArena() {
-    for (size_t i = size_; i > 0; --i) {
-      At(i - 1)->~T();
-    }
-  }
-
-  template <typename... Args>
-  T* New(Args&&... args) {
-    if (size_ == chunks_.size() * kChunkObjects) {
-      chunks_.push_back(std::make_unique<Chunk>());
-    }
-    T* obj = new (Slot(size_)) T(std::forward<Args>(args)...);
-    ++size_;
-    return obj;
-  }
-
-  // Objects ever allocated (none are individually freed).
-  size_t size() const { return size_; }
-
- private:
-  struct Chunk {
-    alignas(T) unsigned char storage[kChunkObjects * sizeof(T)];
-  };
-
-  void* Slot(size_t index) {
-    return chunks_[index / kChunkObjects]->storage + (index % kChunkObjects) * sizeof(T);
-  }
-  T* At(size_t index) { return std::launder(reinterpret_cast<T*>(Slot(index))); }
-
-  std::vector<std::unique_ptr<Chunk>> chunks_;
-  size_t size_ = 0;
 };
 
 }  // namespace e2e

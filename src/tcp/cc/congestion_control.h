@@ -90,9 +90,6 @@ struct CcConfig {
 
 class CongestionControlAlgorithm {
  public:
-  // Lets pre-pluggable call sites keep writing CongestionControl::Config.
-  using Config = CcConfig;
-
   explicit CongestionControlAlgorithm(const CcConfig& config);
   virtual ~CongestionControlAlgorithm() = default;
 
@@ -130,10 +127,6 @@ class CongestionControlAlgorithm {
   // The endpoint uses the delta across one ack to decide when to set CWR.
   uint64_t decrease_events() const { return decrease_events_; }
   const CcConfig& config() const { return config_; }
-
-  // ---- Back-compat with the pre-pluggable CongestionControl API ----
-  void OnFastRetransmit() { OnDupAckThreshold(); }
-  void OnTimeout() { OnRto(); }
 
  protected:
   uint64_t ClampWindow(uint64_t bytes) const;

@@ -25,8 +25,7 @@ uint32_t EndpointTrack(TraceRecorder* tr, uint64_t conn_id, bool is_a) {
 }  // namespace
 
 TcpEndpoint::TcpEndpoint(Simulator* sim, Host* host, uint64_t conn_id, bool is_a,
-                         const TcpConfig& config, const StackCosts* costs,
-                         std::pmr::memory_resource* mem)
+                         const TcpConfig& config, const StackCosts* costs)
     : sim_(sim),
       host_(host),
       conn_id_(conn_id),
@@ -39,9 +38,7 @@ TcpEndpoint::TcpEndpoint(Simulator* sim, Host* host, uint64_t conn_id, bool is_a
         return cc;
       }())),
       rtt_(config.rtt),
-      scoreboard_(mem),
       last_rx_(sim->Now()),
-      ooo_(mem),
       queues_(sim->Now()),
       estimator_(config.e2e_mode),
       last_exchange_sent_(sim->Now()) {

@@ -23,7 +23,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <memory_resource>
 #include <optional>
 #include <string>
 #include <vector>
@@ -57,13 +56,8 @@ class TcpEndpoint {
   // {p} passes it through, {p, p} duplicates, {stale} replays an old one.
   using MetadataFilterFn = std::function<std::vector<WirePayload>(const WirePayload&)>;
 
-  // `mem` backs the per-segment bookkeeping maps (SACK scoreboard, OOO
-  // reassembly): the stack passes one pooled resource shared by all its
-  // endpoints, so map nodes recycle without per-node malloc traffic. The
-  // resource must outlive the endpoint.
   TcpEndpoint(Simulator* sim, Host* host, uint64_t conn_id, bool is_a, const TcpConfig& config,
-              const StackCosts* costs,
-              std::pmr::memory_resource* mem = std::pmr::get_default_resource());
+              const StackCosts* costs);
 
   // ---- Application-side API (call from app-core work) ----
 
@@ -380,9 +374,7 @@ class TcpEndpoint {
     bool sacked = false;
     bool lost = false;          // Marked lost and not yet retransmitted.
   };
-  // Pool-backed (see ctor's `mem`): at 100k+ connections the per-node
-  // malloc overhead of ordinary map nodes dominates the entries themselves.
-  std::pmr::map<uint64_t, SentSeg> scoreboard_;
+  std::map<uint64_t, SentSeg> scoreboard_;
   uint64_t sacked_bytes_ = 0;
   uint64_t lost_bytes_ = 0;
   uint64_t highest_sacked_ = 0;  // Highest sacked end offset.
@@ -421,7 +413,7 @@ class TcpEndpoint {
     uint64_t len = 0;
     std::vector<BoundaryEntry> boundaries;  // Absolute offsets.
   };
-  std::pmr::map<uint64_t, OooSegment> ooo_;  // Keyed by start offset; pool-backed.
+  std::map<uint64_t, OooSegment> ooo_;  // Keyed by start offset.
   uint64_t ooo_bytes_ = 0;
   // Start offset of the most recent out-of-order arrival: RFC 2018 wants
   // the SACK block containing it listed first.

@@ -1,7 +1,7 @@
 #include "src/tcp/stack.h"
 
-#include <algorithm>
 #include <cassert>
+#include <memory>
 #include <utility>
 
 #include "src/tcp/segment.h"
@@ -14,7 +14,7 @@ TcpStack::TcpStack(Simulator* sim, Host* host, const StackCosts& costs)
   host_->nic().SetRx([this](const std::vector<Packet>& batch) { return RxBatchCost(batch); },
                      [this](const Packet& packet) { OnRxPacket(packet); });
   host_->nic().SetTxCompleteHandler([this](size_t n) {
-    for (TcpEndpoint* endpoint : endpoint_list_) {
+    for (TcpEndpoint* endpoint : autocork_) {
       endpoint->OnTxCompletions(n);
     }
   });
@@ -24,27 +24,25 @@ TcpEndpoint* TcpStack::CreateEndpoint(uint64_t conn_id, bool is_a, const TcpConf
   // The endpoint ctor arms timers (exchange, keepalive); on a sharded run
   // those must land in the host's own shard queue, not the global one.
   DomainScope in_host_domain(sim_, host_->domain());
-  TcpEndpoint* raw = arena_.New(sim_, host_, conn_id, is_a, config, &costs_, &endpoint_mem_);
+  auto endpoint = std::make_unique<TcpEndpoint>(sim_, host_, conn_id, is_a, config, &costs_);
+  TcpEndpoint* raw = owned_.emplace_back(std::move(endpoint)).get();
   const uint64_t key = KeyFor(conn_id, is_a);
   assert(endpoints_.find(key) == endpoints_.end());
   endpoints_.emplace(key, raw);
-  endpoint_list_.push_back(raw);
+  if (config.autocork) {
+    autocork_.push_back(raw);
+  }
   return raw;
 }
 
 void TcpStack::CloseEndpoint(uint64_t conn_id, bool is_a) {
-  const uint64_t key = KeyFor(conn_id, is_a);
-  auto it = endpoints_.find(key);
+  auto it = endpoints_.find(KeyFor(conn_id, is_a));
   if (it == endpoints_.end()) {
     return;
   }
-  TcpEndpoint* raw = it->second;
-  raw->Shutdown();
-  endpoint_list_.erase(std::remove(endpoint_list_.begin(), endpoint_list_.end(), raw),
-                       endpoint_list_.end());
-  // The arena retains the zombie's allocation until the stack dies.
+  // owned_ keeps the zombie until the stack dies.
+  it->second->Shutdown();
   endpoints_.erase(it);
-  ++endpoints_closed_;
 }
 
 Duration TcpStack::RxBatchCost(const std::vector<Packet>& batch) {

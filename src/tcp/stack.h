@@ -7,12 +7,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <memory_resource>
 #include <unordered_map>
 #include <vector>
 
 #include "src/net/host.h"
-#include "src/sim/arena.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/endpoint.h"
 #include "src/tcp/tcp_config.h"
@@ -24,21 +22,19 @@ class TcpStack {
   TcpStack(Simulator* sim, Host* host, const StackCosts& costs);
 
   // Creates an endpoint for `conn_id`. `is_a` distinguishes the two sides
-  // of a connection; see ConnectPair. The endpoint lives in the stack's
-  // arena: one bump allocation per endpoint, stable address, destroyed with
-  // the stack.
+  // of a connection; see ConnectPair. The stack owns the endpoint: its
+  // address is stable and it is destroyed with the stack.
   TcpEndpoint* CreateEndpoint(uint64_t conn_id, bool is_a, const TcpConfig& config);
 
   // Tears down one endpoint (process crash / close): Shutdown()s it and
-  // removes it from segment demux and TX-completion fan-out — late
-  // segments count as unknown_segments, the RST-less drop a dead port
-  // gives. The arena keeps the zombie's allocation alive because
-  // already-queued CPU work items and in-flight packets may still
-  // reference it; see TcpEndpoint::Shutdown(). Frees the (conn_id, is_a)
-  // key for a replacement incarnation. No-op when absent.
+  // removes it from segment demux — late segments count as
+  // unknown_segments, the RST-less drop a dead port gives. The stack keeps
+  // the zombie alive because already-queued CPU work items and in-flight
+  // packets may still reference it; see TcpEndpoint::Shutdown(). Frees the
+  // (conn_id, is_a) key for a replacement incarnation. No-op when absent.
   void CloseEndpoint(uint64_t conn_id, bool is_a);
 
-  uint64_t endpoints_closed() const { return endpoints_closed_; }
+  uint64_t endpoints_closed() const { return owned_.size() - endpoints_.size(); }
 
   Host* host() { return host_; }
   const StackCosts& costs() const { return costs_; }
@@ -55,20 +51,16 @@ class TcpStack {
   Simulator* sim_;
   Host* host_;
   StackCosts costs_;
-  // Pool behind every endpoint's per-segment maps (scoreboard/OOO). A host
-  // lives in one shard domain, so the unsynchronized resource is never
-  // touched concurrently. Declared before the arena: endpoints deallocate
-  // into it as the arena destroys them.
-  std::pmr::unsynchronized_pool_resource endpoint_mem_;
-  // All endpoints this stack ever created, open or closed (the arena never
-  // frees individually — closed endpoints are the graveyard). The map and
-  // list only track the *open* ones.
-  ObjectArena<TcpEndpoint> arena_;
+  // Every endpoint this stack ever created, open or closed, in creation
+  // order. The demux map tracks only the open ones.
+  std::vector<std::unique_ptr<TcpEndpoint>> owned_;
   std::unordered_map<uint64_t, TcpEndpoint*> endpoints_;
-  std::vector<TcpEndpoint*> endpoint_list_;
+  // The endpoints created with config.autocork, in creation order. Only
+  // they can hold data for a TX completion, so completions fan out to them
+  // alone; closed ones stay listed and ignore the call.
+  std::vector<TcpEndpoint*> autocork_;
   uint64_t unknown_segments_ = 0;
   uint64_t gro_merged_ = 0;
-  uint64_t endpoints_closed_ = 0;
 };
 
 // Creates the two endpoints of a connection between hosts running `stack_a`

@@ -1,4 +1,4 @@
-#include "src/tcp/congestion.h"
+#include "src/tcp/cc/reno.h"
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,8 @@
 namespace e2e {
 namespace {
 
-CongestionControl::Config Cfg() {
-  CongestionControl::Config config;
+CcConfig Cfg() {
+  CcConfig config;
   config.mss = 1000;
   config.initial_window_segments = 10;
   config.max_window_bytes = 1000000;
@@ -16,13 +16,13 @@ CongestionControl::Config Cfg() {
 }
 
 TEST(CongestionControlTest, StartsAtInitialWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   EXPECT_EQ(cc.window_bytes(), 10000u);
   EXPECT_TRUE(cc.in_slow_start());
 }
 
 TEST(CongestionControlTest, SlowStartDoublesPerWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnAck(10000);  // A full window acked -> window doubles.
   EXPECT_EQ(cc.window_bytes(), 20000u);
   cc.OnAck(20000);
@@ -30,8 +30,8 @@ TEST(CongestionControlTest, SlowStartDoublesPerWindow) {
 }
 
 TEST(CongestionControlTest, CongestionAvoidanceGrowsOneMssPerWindow) {
-  CongestionControl cc(Cfg());
-  cc.OnFastRetransmit();  // ssthresh = 5000, cwnd = 5000: avoidance mode.
+  RenoCongestionControl cc(Cfg());
+  cc.OnDupAckThreshold();  // ssthresh = 5000, cwnd = 5000: avoidance mode.
   EXPECT_FALSE(cc.in_slow_start());
   const uint64_t before = cc.window_bytes();
   cc.OnAck(before);  // One full window of acks.
@@ -45,32 +45,32 @@ TEST(CongestionControlTest, CongestionAvoidanceGrowsOneMssPerWindow) {
 }
 
 TEST(CongestionControlTest, FastRetransmitHalves) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnAck(30000);  // cwnd 40000.
-  cc.OnFastRetransmit();
+  cc.OnDupAckThreshold();
   EXPECT_EQ(cc.window_bytes(), 20000u);
   EXPECT_EQ(cc.ssthresh(), 20000u);
 }
 
 TEST(CongestionControlTest, TimeoutCollapsesToOneMss) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   cc.OnAck(30000);
-  cc.OnTimeout();
+  cc.OnRto();
   EXPECT_EQ(cc.window_bytes(), 1000u);
   EXPECT_TRUE(cc.in_slow_start());
   EXPECT_EQ(cc.ssthresh(), 20000u);
 }
 
 TEST(CongestionControlTest, FloorsAtTwoMss) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   for (int i = 0; i < 10; ++i) {
-    cc.OnFastRetransmit();
+    cc.OnDupAckThreshold();
   }
   EXPECT_EQ(cc.window_bytes(), 2000u);
 }
 
 TEST(CongestionControlTest, CapsAtMaxWindow) {
-  CongestionControl cc(Cfg());
+  RenoCongestionControl cc(Cfg());
   for (int i = 0; i < 40; ++i) {
     cc.OnAck(cc.window_bytes());
   }
@@ -78,11 +78,11 @@ TEST(CongestionControlTest, CapsAtMaxWindow) {
 }
 
 TEST(CongestionControlTest, DisabledIsUnbounded) {
-  CongestionControl::Config config = Cfg();
+  CcConfig config = Cfg();
   config.enabled = false;
-  CongestionControl cc(config);
+  RenoCongestionControl cc(config);
   EXPECT_GT(cc.window_bytes(), 1ull << 60);
-  cc.OnTimeout();
+  cc.OnRto();
   EXPECT_GT(cc.window_bytes(), 1ull << 60);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/testbed/topology.h"
 
 namespace e2e {
@@ -75,6 +77,88 @@ TEST(TcpStackTest, GroDisabledPaysPerPacket) {
   topo.sim().RunFor(Duration::Millis(5));
   EXPECT_EQ(conn.b->ReadableBytes(), 20000u);
   EXPECT_EQ(topo.server_stack().gro_merged(), 0u);
+}
+
+// TX-completion fan-out: two auto-cork connections (ids 1 and 2, created in
+// that order) and one plain connection (id 3) share the client stack. The
+// link is slow, so a 1000 B send from connection 3 keeps the TX ring busy
+// for ~170 us and any small auto-cork send issued meanwhile is held.
+struct FanOutFixture {
+  FanOutFixture() : topo(SlowLink()) {
+    for (uint64_t id = 1; id <= 3; ++id) {
+      conns.push_back(topo.Connect(id, id == 3 ? Plain() : Cork(), Plain()));
+      conns.back().b->SetReadableCallback([this, id] { arrivals.push_back(id); });
+    }
+  }
+
+  static TopologyConfig SlowLink() {
+    TopologyConfig config;
+    config.link.bandwidth_bps = 50e6;
+    return config;
+  }
+  static TcpConfig Plain() {
+    TcpConfig config;
+    config.nodelay = true;
+    config.e2e_exchange_interval = Duration::Zero();
+    return config;
+  }
+  static TcpConfig Cork() {
+    TcpConfig config = Plain();
+    config.autocork = true;
+    return config;
+  }
+
+  // Connection 3 fills the TX ring, then each of `corked` sends 60 bytes.
+  void BusyThenSend(std::vector<TcpEndpoint*> corked) {
+    topo.client_host().app_core().SubmitFixed(Duration::Nanos(100), [this, corked] {
+      conns[2].a->Send(1000, Rec(0));
+      for (TcpEndpoint* endpoint : corked) {
+        endpoint->Send(60, Rec(endpoint->conn_id()));
+      }
+    });
+  }
+
+  TwoHostTopology topo;
+  std::vector<ConnectedPair> conns;
+  std::vector<uint64_t> arrivals;  // Server-side readable events, by conn id.
+};
+
+TEST(TcpStackTest, TxCompletionReleasesAutocorkHoldsInCreationOrder) {
+  FanOutFixture f;
+  // Connection 2 writes before connection 1; both are held.
+  f.BusyThenSend({f.conns[1].a, f.conns[0].a});
+  f.topo.sim().RunFor(Duration::Millis(50));
+  EXPECT_EQ(f.conns[0].a->stats().autocork_holds, 1u);
+  EXPECT_EQ(f.conns[1].a->stats().autocork_holds, 1u);
+  EXPECT_EQ(f.conns[2].a->stats().autocork_holds, 0u);
+  // The one completion for connection 3's segment walks the auto-cork
+  // endpoints in creation order, so 1 goes out before 2.
+  EXPECT_EQ(f.arrivals, (std::vector<uint64_t>{3, 1, 2}));
+  EXPECT_EQ(f.conns[0].b->ReadableBytes(), 60u);
+  EXPECT_EQ(f.conns[1].b->ReadableBytes(), 60u);
+}
+
+TEST(TcpStackTest, AutocorkEndpointClosedWhileHeldNeverPushes) {
+  FanOutFixture f;
+  TcpEndpoint* zombie = f.conns[0].a;
+  f.BusyThenSend({zombie, f.conns[1].a});
+  f.topo.sim().Schedule(Duration::Micros(50), [&] {
+    ASSERT_EQ(zombie->stats().autocork_holds, 1u);  // Still held.
+    f.topo.client_stack().CloseEndpoint(1, /*is_a=*/true);
+  });
+  f.topo.sim().RunFor(Duration::Millis(1));
+  EXPECT_EQ(f.arrivals, (std::vector<uint64_t>{3, 2}));
+
+  // A replacement incarnation of connection 1 is held and released like
+  // any other auto-cork endpoint; the zombie stays silent.
+  f.topo.server_stack().CloseEndpoint(1, /*is_a=*/false);
+  ConnectedPair fresh = f.topo.Connect(1, FanOutFixture::Cork(), FanOutFixture::Plain());
+  f.BusyThenSend({fresh.a});
+  f.topo.sim().RunFor(Duration::Millis(50));
+  EXPECT_EQ(fresh.a->stats().autocork_holds, 1u);
+  EXPECT_EQ(fresh.b->ReadableBytes(), 60u);
+  EXPECT_EQ(zombie->stats().wire_packets_sent, 0u);
+  EXPECT_EQ(f.topo.client_stack().endpoints_closed(), 1u);
 }
 
 }  // namespace
