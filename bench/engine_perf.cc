@@ -20,7 +20,9 @@
 //   5. Shard scaling — one large lean fleet cell (DESIGN.md §16) run at
 //      --shards=1/2/N, reporting engine events/sec per shard count plus a
 //      result-fingerprint identity check (sharding is an engine detail,
-//      never an experiment detail).
+//      never an experiment detail). Each point also records the load it
+//      was offered and served; one that serves under 90% of it aborts the
+//      run, because events/sec of a drowning cell is no engine speed.
 //
 // Wall-clock numbers are inherently machine-dependent; the JSON is a perf
 // artifact, not part of the byte-determinism contract. CI runs
@@ -327,8 +329,9 @@ FleetExperimentConfig MakeShardScalingCell(bool smoke, int clients, int shards) 
   // domain would serialize every request and cap the achievable speedup.
   config.fabric.num_servers = 4;
   config.fabric.shards = shards;
-  config.total_rate_rps = clients;  // ~1 rps per connection: timer-dominated,
-                                    // like a mostly-idle production fleet.
+  config.total_rate_rps = clients;  // ~1 rps per connection: a mostly idle
+                                    // production fleet, whose quiet
+                                    // connections park their exchanges.
   config.warmup = Duration::Millis(10);
   config.measure = smoke ? Duration::Millis(50) : Duration::Millis(200);
   config.drain = Duration::Millis(10);
@@ -368,7 +371,15 @@ struct ShardPoint {
   double queue_peak_mean = 0;    // Mean per-domain high water.
   uint64_t queue_domains = 0;
   uint64_t fingerprint = 0;
+  // Whether the cell kept up with its load (see kMinServedFraction).
+  double offered_krps = 0;
+  double achieved_krps = 0;
+  double measured_mean_us = 0;
 };
+
+// Share of the offered load every curve point must serve (perfbench's fleet
+// cell allows the same 10%).
+constexpr double kMinServedFraction = 0.9;
 
 ShardPoint RunShardPoint(bool smoke, int clients, int shards) {
   const FleetExperimentResult r = RunFleetExperiment(MakeShardScalingCell(smoke, clients, shards));
@@ -382,6 +393,9 @@ ShardPoint RunShardPoint(bool smoke, int clients, int shards) {
   point.queue_peak_mean = r.queue_peak_mean;
   point.queue_domains = r.queue_domains;
   point.fingerprint = FleetFingerprint(r);
+  point.offered_krps = r.offered_krps;
+  point.achieved_krps = r.achieved_krps;
+  point.measured_mean_us = r.measured_mean_us;
   return point;
 }
 
@@ -636,7 +650,8 @@ int Main(int argc, char** argv) {
       shard_speedup = speedup2;
     }
   }
-  Table shard_table({"shards", "events", "wall_s", "Mev_s", "maxq", "meanq", "speedup"});
+  Table shard_table({"shards", "events", "wall_s", "Mev_s", "maxq", "meanq", "speedup",
+                     "offered_krps", "served_krps", "mean_us"});
   for (const ShardPoint& point : curve) {
     shard_table.Row()
         .Int(point.shards)
@@ -645,7 +660,10 @@ int Main(int argc, char** argv) {
         .Num(point.events_per_sec / 1e6, 2)
         .Int(static_cast<int64_t>(point.queue_peak_max))
         .Num(point.queue_peak_mean, 0)
-        .Cell(FormatFactor(point.events_per_sec / curve.front().events_per_sec));
+        .Cell(FormatFactor(point.events_per_sec / curve.front().events_per_sec))
+        .Num(point.offered_krps, 1)
+        .Num(point.achieved_krps, 1)
+        .Num(point.measured_mean_us, 1);
   }
   std::printf("\nshard scaling (lean leaf-spine fleet cell, %d connections): results %s%s%s\n",
               fleet_clients, shard_identical ? "identical" : "DIVERGED",
@@ -655,6 +673,14 @@ int Main(int argc, char** argv) {
   if (!shard_identical) {
     std::fprintf(stderr, "FATAL: sharding changed fleet cell results\n");
     std::abort();
+  }
+  for (const ShardPoint& point : curve) {
+    if (point.achieved_krps < kMinServedFraction * point.offered_krps) {
+      std::fflush(stdout);  // Keep the curve table when stdout is a file.
+      std::fprintf(stderr, "FATAL: fleet cell at shards=%d served %.1f of %.1f offered kRPS\n",
+                   point.shards, point.achieved_krps, point.offered_krps);
+      std::abort();
+    }
   }
 
   FILE* out = std::fopen(json_path, "w");
@@ -726,6 +752,9 @@ int Main(int argc, char** argv) {
     json.KV("queue_peak_max", point.queue_peak_max);
     json.KV("queue_peak_mean", point.queue_peak_mean, 1);
     json.KV("queue_domains", point.queue_domains);
+    json.KV("offered_krps", point.offered_krps, 1);
+    json.KV("achieved_krps", point.achieved_krps, 1);
+    json.KV("measured_mean_us", point.measured_mean_us, 1);
     json.EndObject();
   }
   json.EndArray();

@@ -151,10 +151,11 @@ RobustnessConfig MakeConfig(Scenario scenario, bool fallback, bool smoke, int sh
       // the storm collapses the packet rate). Acks, responses, and the
       // server's outbound metadata all share the storm while the forward
       // path stays clean — so the server-side estimator the health chain
-      // monitors keeps receiving the client's payloads (data or the
-      // exchange-timer pure-ack fallback) at full cadence. The cell's
-      // verdict checks both halves: the storm must hammer tail latency,
-      // and must NOT shake the health chain (DESIGN.md §15).
+      // monitors keeps receiving the client's payloads (on data, or on
+      // exchange pure acks while the blackout holds requests unacked and
+      // the client's queues keep moving). The cell's verdict checks both
+      // halves: the storm must hammer tail latency, and must NOT shake the
+      // health chain (DESIGN.md §15).
       LinkScheduleStep storm;
       storm.loss_probability = 0.999999;  // The loss model requires p < 1.
       LinkScheduleStep clear;
@@ -380,8 +381,10 @@ int Main(int argc, char** argv) {
   // blackout, so p99 lands at storm scale, far above baseline) yet never
   // deadlock the run. (2) Health isolation: the chain it watches is the
   // server-side estimator, whose inbound metadata rides the *clean* forward
-  // path — the exchange-timer fallback keeps its cadence even when the app
-  // stalls — so a reverse-path-only storm must NOT shake it into demotion.
+  // path — the client keeps exchanging while anything it sent is unacked,
+  // and once both sides fall quiet in the drain no segment arrives, which
+  // health reads as idle, not stale — so a reverse-path-only storm must
+  // NOT shake it into demotion.
   for (const Cell& cell : cells) {
     if (cell.scenario != Scenario::kAckStorm) {
       continue;

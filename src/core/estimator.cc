@@ -116,6 +116,19 @@ bool ConnectionEstimator::OnRemotePayload(const WirePayload& remote, EndpointQue
   return true;
 }
 
+bool ConnectionEstimator::PeerQuiet() const {
+  // Missing snapshots stand for the peer's construction state: every
+  // counter zero, known to both sides without an exchange.
+  const PackedSnapshot zero;
+  const PackedSnapshot& prev = remote_prev_.present ? remote_prev_ : zero;
+  const PackedSnapshot& cur = remote_cur_.present ? remote_cur_ : zero;
+  const auto same = [](const WireCounters& a, const WireCounters& b) {
+    return a.total == b.total && a.integral_us == b.integral_us;
+  };
+  return same(prev.unacked, cur.unacked) && same(prev.unread, cur.unread) &&
+         same(prev.ackdelay, cur.ackdelay);
+}
+
 E2eEstimate ConnectionEstimator::LocalOnlyEstimate(EndpointQueues& queues, TimePoint now) {
   local_only_prev_ = local_only_cur_;
   local_only_cur_ = Pack(BuildLocalPayload(queues, /*hint=*/nullptr, now));

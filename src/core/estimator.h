@@ -75,6 +75,13 @@ class ConnectionEstimator {
   WireDeltaVerdict last_verdict() const { return last_verdict_; }
   // Time of the most recent *accepted* remote payload.
   TimePoint last_update() const { return last_update_; }
+  // True when the peer's last accepted payload repeated the one before it:
+  // the same departure totals and occupancy integrals in all three queues,
+  // so the peer changed nothing over that interval. Before the first two
+  // payloads the peer's construction state (all counters zero) stands in,
+  // so a peer that never did anything is quiet. TcpEndpoint parks its
+  // exchange timer only while this holds (DESIGN.md §6).
+  bool PeerQuiet() const;
 
   // Drops history (e.g. after an idle period that would straddle wraps).
   void Reset();

@@ -19,7 +19,7 @@ const char* HealthStateName(HealthState state) {
 }
 
 EstimatorHealth::EstimatorHealth(const HealthConfig& config, TimePoint now)
-    : config_(config), last_healthy_(now), state_since_(now) {
+    : config_(config), fresh_since_(now), state_since_(now) {
   // Trust is earned: a new connection starts on the static policy and
   // climbs to kFull through the promotion streak.
   transitions_.emplace_back(now, state_);
@@ -29,7 +29,7 @@ void EstimatorHealth::OnExchange(TimePoint now, WireDeltaVerdict verdict) {
   switch (verdict) {
     case WireDeltaVerdict::kOk:
       ++counters_.healthy_exchanges;
-      last_healthy_ = now;
+      fresh_since_ = now;
       reject_streak_ = 0;
       if (state_ != HealthState::kFull) {
         if (++healthy_streak_ >= config_.promote_after) {
@@ -42,7 +42,7 @@ void EstimatorHealth::OnExchange(TimePoint now, WireDeltaVerdict verdict) {
       // Time advanced, so the channel is alive — but an interval with
       // occupancy and no departures proves nothing about the delay math.
       ++counters_.zero_departure_exchanges;
-      last_healthy_ = now;
+      fresh_since_ = now;
       return;
     case WireDeltaVerdict::kNoProgress:
       ++counters_.rejected_no_progress;
@@ -61,8 +61,18 @@ void EstimatorHealth::OnExchange(TimePoint now, WireDeltaVerdict verdict) {
   }
 }
 
-void EstimatorHealth::Tick(TimePoint now) {
-  const Duration stale = now - last_healthy_;
+void EstimatorHealth::Tick(TimePoint now, TimePoint last_arrival) {
+  if (last_arrival <= fresh_since_) {
+    // Nothing arrived unvouched for: the peer is quiet, not stale. Once the
+    // silence outlasts the bound it vouches for itself, so a feed withheld
+    // when traffic resumes is caught freshness_bound after that, not at
+    // once. (Busy connections never reach this branch past the bound.)
+    if (now - fresh_since_ > config_.freshness_bound) {
+      fresh_since_ = now;
+    }
+    return;
+  }
+  const Duration stale = now - fresh_since_;
   if (stale > config_.static_after) {
     // The metadata channel is dead. Where we land depends on the diag
     // signal: fresh in-network observation keeps the controller in
@@ -103,7 +113,7 @@ void EstimatorHealth::OnConnectionLost(TimePoint now) {
 void EstimatorHealth::OnReconnect(TimePoint now) {
   healthy_streak_ = 0;
   reject_streak_ = 0;
-  last_healthy_ = now;  // Fresh estimator: staleness restarts from zero.
+  fresh_since_ = now;  // Fresh estimator: staleness restarts from zero.
 }
 
 Duration EstimatorHealth::TimeIn(HealthState state, TimePoint now) const {

@@ -8,7 +8,11 @@
 // grades estimate confidence from two signals:
 //
 //   freshness    — how long since the last healthy exchange (clock-driven,
-//                  checked on every controller tick), and
+//                  checked on every controller tick), counted only while
+//                  segments keep arriving without fresh metadata:
+//                  endpoints exchange on change, so a quiet connection
+//                  sends nothing, and an idle peer is not a stale one (a
+//                  withheld feed on a busy connection still is); and
 //   plausibility — the WireDeltaVerdict of each arriving exchange
 //                  (wrap-violation deltas, zero-departure intervals,
 //                  non-finite/implausible derived delays).
@@ -108,9 +112,13 @@ class EstimatorHealth {
   // streaks untouched.
   void OnExchange(TimePoint now, WireDeltaVerdict verdict);
 
-  // Clock-driven freshness check; call at controller-tick cadence. Only
-  // ever demotes.
-  void Tick(TimePoint now);
+  // Clock-driven freshness check; call at controller-tick cadence with the
+  // time the graded endpoint last received any segment
+  // (TcpEndpoint::last_rx()). No arrival since the last healthy exchange
+  // means the peer is idle, and an idle peer never demotes. Otherwise
+  // staleness runs from that exchange, or from the end of the silence.
+  // Only ever demotes.
+  void Tick(TimePoint now, TimePoint last_arrival);
 
   // The connection is gone (peer crash / teardown): hard demote to
   // kStatic. Promotion after reconnect goes through the normal streak.
@@ -151,7 +159,9 @@ class EstimatorHealth {
   HealthConfig config_;
   DiagSignalFn diag_signal_;
   HealthState state_ = HealthState::kStatic;
-  TimePoint last_healthy_;
+  // Start of the freshness clock: the last healthy (or zero-departure)
+  // exchange, or the last tick of a silence that outlasted the bound.
+  TimePoint fresh_since_;
   TimePoint state_since_;
   int healthy_streak_ = 0;
   int reject_streak_ = 0;

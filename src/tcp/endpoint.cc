@@ -22,6 +22,12 @@ uint32_t EndpointTrack(TraceRecorder* tr, uint64_t conn_id, bool is_a) {
   return tr->Track(name);
 }
 
+// The wire clock wraps every 2^32 us and a delta above 2^31 us reads as a
+// wrap violation (src/core/wire_format.h), which would lock the peer's
+// estimator out for good. A parked exchange timer therefore still fires
+// once per half that range.
+constexpr Duration kIdleExchangeRefresh = Duration::Micros(kMaxPlausibleIntervalUs / 2);
+
 }  // namespace
 
 TcpEndpoint::TcpEndpoint(Simulator* sim, Host* host, uint64_t conn_id, bool is_a,
@@ -80,6 +86,7 @@ void TcpEndpoint::Shutdown() {
   CancelTimer(rack_timer_);
   CancelTimer(keepalive_timer_);
   force_exchange_ = false;
+  exchange_parked_ = false;
   hold_for_completion_ = false;
   send_blocked_ = false;
   readable_cb_ = nullptr;
@@ -454,6 +461,10 @@ void TcpEndpoint::StampOutgoing(TcpSegment& seg, bool force_exchange) {
     seg.e2e_option = estimator_.BuildLocalPayload(queues_, hint_tracker_, sim_->Now());
     last_exchange_sent_ = sim_->Now();
     force_exchange_ = false;
+    // Unchanged counters and empty queues mean this payload repeats the
+    // previous one (only its timestamp moved).
+    last_exchange_quiet_ = !tracked_since_exchange_ && LocallyIdle();
+    tracked_since_exchange_ = false;
     ++stats_.exchanges_sent;
     if (TraceRecorder* tr = TraceIf(TraceCategory::kEstimator)) {
       TraceEvent e;
@@ -634,7 +645,10 @@ void TcpEndpoint::HandleSegment(const TcpSegment& seg, bool ecn_ce) {
   if (seg.e2e_option.has_value()) {
     ++stats_.exchanges_received;
     auto ingest = [&](const WirePayload& payload) {
-      estimator_.OnRemotePayload(payload, queues_, hint_tracker_, sim_->Now());
+      if (estimator_.OnRemotePayload(payload, queues_, hint_tracker_, sim_->Now()) &&
+          exchange_parked_ && !estimator_.PeerQuiet()) {
+        ResumeExchangeTimer();  // The peer's queues moved: so do ours.
+      }
       if (TraceRecorder* tr = TraceIf(TraceCategory::kEstimator)) {
         TraceEvent e;
         e.time = sim_->Now();
@@ -1496,12 +1510,50 @@ void TcpEndpoint::DeclareDeadPeer(const char* reason) {
 }
 
 void TcpEndpoint::ScheduleExchangeTimer() {
-  exchange_timer_ = sim_->Schedule(config_.e2e_exchange_interval, [this] {
-    if (sim_->Now() - last_exchange_sent_ >= config_.e2e_exchange_interval) {
-      SubmitPush(&host_->softirq_core(), PushReason::kExchangeTimer);
+  exchange_timer_ = sim_->Schedule(config_.e2e_exchange_interval, [this] { OnExchangeTimer(); });
+}
+
+void TcpEndpoint::OnExchangeTimer() {
+  const Duration since = sim_->Now() - last_exchange_sent_;
+  if (since < kIdleExchangeRefresh && ExchangeQuiet()) {
+    // Queue states are cumulative, so the first exchange after the silence
+    // covers the whole gap exactly; until then there is nothing to send.
+    exchange_parked_ = true;
+    exchange_timer_ =
+        sim_->Schedule(kIdleExchangeRefresh - since, [this] { OnExchangeTimer(); });
+    return;
+  }
+  exchange_parked_ = false;
+  if (since >= config_.e2e_exchange_interval) {
+    SubmitPush(&host_->softirq_core(), PushReason::kExchangeTimer);
+  }
+  ScheduleExchangeTimer();
+}
+
+void TcpEndpoint::ResumeExchangeTimer() {
+  exchange_parked_ = false;
+  CancelTimer(exchange_timer_);
+  ScheduleExchangeTimer();
+}
+
+bool TcpEndpoint::LocallyIdle() const {
+  for (const QueueKind kind : {QueueKind::kUnacked, QueueKind::kUnread, QueueKind::kAckDelay}) {
+    if (queues_.Get(kind, config_.e2e_mode).size() != 0) {
+      return false;
     }
-    ScheduleExchangeTimer();
-  });
+  }
+  return ooo_.empty() && (hint_tracker_ == nullptr || hint_tracker_->outstanding() == 0);
+}
+
+bool TcpEndpoint::ExchangeQuiet() const {
+  // Hint Create/Complete calls ride on the send/recv calls that set
+  // tracked_since_exchange_. last_exchange_quiet_ shows the peer a whole
+  // quiet interval, which its own PeerQuiet() waits for. Without
+  // PeerQuiet() a receiver with nothing of its own would go silent while
+  // the sender waits on a lost tail: its exchange pure acks are the
+  // duplicate acks that repair it long before the RTO (DESIGN.md §6).
+  return !tracked_since_exchange_ && last_exchange_quiet_ && LocallyIdle() &&
+         estimator_.PeerQuiet();
 }
 
 // ---------------------------------------------------------------------------
@@ -1524,6 +1576,10 @@ int64_t TcpEndpoint::PacketUnits(uint64_t from, uint64_t to) const {
 
 void TcpEndpoint::TrackThree(QueueKind kind, int64_t bytes, int64_t packets, int64_t syscalls) {
   const TimePoint now = sim_->Now();
+  tracked_since_exchange_ = true;
+  if (exchange_parked_) {
+    ResumeExchangeTimer();
+  }
   queues_.Track(kind, UnitMode::kBytes, now, bytes);
   queues_.Track(kind, UnitMode::kPackets, now, packets);
   queues_.Track(kind, UnitMode::kSyscalls, now, syscalls);

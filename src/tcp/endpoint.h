@@ -6,7 +6,8 @@
 // flow control (advertised windows), TSO super-segments, RTO retransmission
 // with out-of-order reassembly — plus the instrumentation of the three
 // monitored queues (unacked / unread / ackdelay) in every kernel unit mode,
-// and the periodic end-to-end metadata exchange.
+// and the end-to-end metadata exchange, sent on change (periodic while
+// either side's queues move, parked while both are quiet).
 //
 // Threading model: application-side calls (Send/Recv/SetNoDelay/...) must be
 // made from work running on the host's app core; segment handling runs on
@@ -177,6 +178,9 @@ class TcpEndpoint {
   uint64_t unsent_bytes() const { return sndq_.tail_offset() - snd_nxt_; }
   uint64_t peer_rwnd() const { return peer_rwnd_; }
   bool in_recovery() const { return in_recovery_; }
+  // Time of the most recent segment arrival: the health layer's evidence
+  // that the peer is talking at all (src/core/health.h).
+  TimePoint last_rx() const { return last_rx_; }
   uint64_t conn_id() const { return conn_id_; }
   bool is_a() const { return is_a_; }
   Host* host() { return host_; }
@@ -310,7 +314,17 @@ class TcpEndpoint {
   // update cannot deadlock the connection.
   void ArmPersistTimer();
   void CancelTimer(EventId& id);
+  // Exchange on change (DESIGN.md §6): the timer fires every
+  // e2e_exchange_interval while anything changes and parks once
+  // ExchangeQuiet() holds; the next change resumes it.
   void ScheduleExchangeTimer();
+  void OnExchangeTimer();
+  void ResumeExchangeTimer();
+  // No queued, unread, unacknowledged or out-of-order data on this side,
+  // and no outstanding hinted request.
+  bool LocallyIdle() const;
+  // A standalone exchange now would repeat what both peers already know.
+  bool ExchangeQuiet() const;
   void OnAckSent(uint64_t acked_to);  // Updates rcv_wup_ + ackdelay queues.
 
   uint64_t AdvertisedWindow() const;
@@ -436,6 +450,15 @@ class TcpEndpoint {
   TimePoint last_exchange_sent_;
   EventId exchange_timer_ = kInvalidEventId;
   bool force_exchange_ = false;  // One-shot on-demand exchange pending.
+  // Exchange-on-change state (flags, not payload copies: they pack into
+  // the padding after force_exchange_).
+  bool tracked_since_exchange_ = false;  // A queue moved since the last
+                                         // exchange went out.
+  bool last_exchange_quiet_ = true;      // That exchange repeated the one
+                                         // before it. The construction
+                                         // state (all zero) counts as an
+                                         // exchange both sides know.
+  bool exchange_parked_ = false;         // Timer parked at the idle refresh.
 
   ReadableFn readable_cb_;
   WritableFn writable_cb_;

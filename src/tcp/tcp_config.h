@@ -99,7 +99,10 @@ struct TcpConfig {
 
   // End-to-end metadata exchange (paper §3.2/§5): attach the wire payload to
   // the first outbound segment after this interval elapses, with a pure-ack
-  // fallback when the connection is idle. Zero disables the exchange.
+  // fallback when no segment carries it. This is the cadence while either
+  // side's queues change; once a whole interval passes with nothing new on
+  // either side the exchange parks until the next change (DESIGN.md §6).
+  // Zero disables the exchange.
   Duration e2e_exchange_interval = Duration::Millis(1);
   UnitMode e2e_mode = UnitMode::kBytes;
 };

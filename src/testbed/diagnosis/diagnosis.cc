@@ -455,7 +455,7 @@ DiagnosisFallbackResult RunDiagnosisFallback(const DiagnosisFallbackConfig& conf
   DiagnosisFallbackResult result;
   std::function<void()> control_tick = [&] {
     const TimePoint now = sim.Now();
-    health.Tick(now);
+    health.Tick(now, server_ep->last_rx());
 
     std::optional<PerfSample> sample;
     bool force_static = false;

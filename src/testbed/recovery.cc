@@ -34,7 +34,8 @@ RecoveryResult RunRecoveryExperiment(const RecoveryConfig& config) {
   if (config.health_tick > Duration::Zero()) {
     const int64_t ticks = config.run.nanos() / config.health_tick.nanos();
     for (int64_t i = 1; i <= ticks; ++i) {
-      sim.Schedule(config.health_tick * i, [&sim, &health] { health.Tick(sim.Now()); });
+      sim.Schedule(config.health_tick * i,
+                   [&sim, &health, &conn] { health.Tick(sim.Now(), conn.a->last_rx()); });
     }
   }
 

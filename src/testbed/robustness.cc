@@ -180,7 +180,8 @@ RobustnessResult RunRobustnessExperiment(const RobustnessConfig& config) {
   uint64_t ticks_on = 0;
   std::function<void()> control_tick = [&] {
     const TimePoint now = sim.Now();
-    health.Tick(now);
+    // Between a crash and the reconnect nothing can arrive.
+    health.Tick(now, server_ep != nullptr ? server_ep->last_rx() : TimePoint::Zero());
 
     std::optional<PerfSample> sample;
     bool force_static = false;

@@ -23,6 +23,9 @@ void FeedHealthy(EstimatorHealth& health, int n, int start_ms) {
   }
 }
 
+// A controller tick on a busy connection: a segment arrived just now.
+void TickBusy(EstimatorHealth& health, int64_t ms) { health.Tick(Ms(ms), Ms(ms)); }
+
 TEST(EstimatorHealthTest, TrustIsEarnedStartsStatic) {
   EstimatorHealth health(FastConfig(), Ms(0));
   EXPECT_EQ(health.state(), HealthState::kStatic);
@@ -86,18 +89,59 @@ TEST(EstimatorHealthTest, FreshnessTickDemotesFullThenStatic) {
   FeedHealthy(health, 8, 0);
   ASSERT_EQ(health.state(), HealthState::kFull);
   // Last healthy exchange at 7 ms. Inside the bound: no demotion.
-  health.Tick(Ms(16));
+  TickBusy(health, 16);
   EXPECT_EQ(health.state(), HealthState::kFull);
   // Past freshness_bound (10 ms): one level.
-  health.Tick(Ms(18));
+  TickBusy(health, 18);
   EXPECT_EQ(health.state(), HealthState::kLocalOnly);
   // Still short of static_after: holds.
-  health.Tick(Ms(40));
+  TickBusy(health, 40);
   EXPECT_EQ(health.state(), HealthState::kLocalOnly);
   // Past static_after (50 ms since last healthy): all the way down.
-  health.Tick(Ms(58));
+  TickBusy(health, 58);
   EXPECT_EQ(health.state(), HealthState::kStatic);
   EXPECT_EQ(health.counters().demotions, 2u);
+}
+
+TEST(EstimatorHealthTest, NoArrivalsSinceLastHealthyExchangeNeverDemotes) {
+  // Endpoints exchange on change, so a quiet connection sends nothing at
+  // all. Silence with no segment arriving is an idle peer, not a stale one.
+  EstimatorHealth health(FastConfig(), Ms(0));
+  FeedHealthy(health, 8, 0);
+  ASSERT_EQ(health.state(), HealthState::kFull);
+  const TimePoint last_arrival = Ms(7);  // The last exchange's segment.
+  for (const int64_t ms : {18, 58, 1000, 60 * 60 * 1000}) {
+    health.Tick(Ms(ms), last_arrival);
+    EXPECT_EQ(health.state(), HealthState::kFull) << "at " << ms << " ms";
+  }
+  EXPECT_EQ(health.counters().demotions, 0u);
+}
+
+TEST(EstimatorHealthTest, ArrivalsWithoutMetadataStillDemoteAtFreshnessBound) {
+  // Busy connection, feed withheld: segments keep arriving, none carries
+  // a healthy exchange after 7 ms.
+  EstimatorHealth busy(FastConfig(), Ms(0));
+  FeedHealthy(busy, 8, 0);
+  ASSERT_EQ(busy.state(), HealthState::kFull);
+  busy.Tick(Ms(17), Ms(16));  // 10 ms: at the bound, not past it.
+  EXPECT_EQ(busy.state(), HealthState::kFull);
+  busy.Tick(Ms(18), Ms(17));
+  EXPECT_EQ(busy.state(), HealthState::kLocalOnly);
+  busy.Tick(Ms(58), Ms(57));
+  EXPECT_EQ(busy.state(), HealthState::kStatic);
+  EXPECT_EQ(busy.counters().demotions, 2u);
+
+  // The same withheld feed after a long silence: staleness counts from
+  // when the silence ended (to tick granularity), not from 7 ms.
+  EstimatorHealth resumed(FastConfig(), Ms(0));
+  FeedHealthy(resumed, 8, 0);
+  resumed.Tick(Ms(1000), Ms(7));  // Idle.
+  const TimePoint first_arrival = Ms(1000) + Duration::Micros(500);
+  resumed.Tick(Ms(1001), first_arrival);
+  resumed.Tick(Ms(1010), Ms(1010));
+  EXPECT_EQ(resumed.state(), HealthState::kFull);
+  resumed.Tick(Ms(1011), Ms(1011));
+  EXPECT_EQ(resumed.state(), HealthState::kLocalOnly);
 }
 
 TEST(EstimatorHealthTest, ZeroDepartureRefreshesFreshnessButNotStreaks) {
@@ -108,7 +152,7 @@ TEST(EstimatorHealthTest, ZeroDepartureRefreshesFreshnessButNotStreaks) {
   // long past the freshness bound: no demotion.
   for (int i = 0; i < 40; ++i) {
     health.OnExchange(Ms(8 + i * 5), WireDeltaVerdict::kZeroDeparture);
-    health.Tick(Ms(8 + i * 5));
+    TickBusy(health, 8 + i * 5);
   }
   EXPECT_EQ(health.state(), HealthState::kFull);
   EXPECT_EQ(health.counters().zero_departure_exchanges, 40u);
@@ -137,7 +181,7 @@ TEST(EstimatorHealthTest, ConnectionLossIsAHardDemotionToStatic) {
   // replacement connection re-earns kFull through the normal streak.
   health.OnReconnect(Ms(30));
   EXPECT_EQ(health.state(), HealthState::kStatic);
-  health.Tick(Ms(35));  // 5 ms since reconnect, not 35 since last healthy.
+  TickBusy(health, 35);  // 5 ms since reconnect, not 35 since last healthy.
   EXPECT_EQ(health.state(), HealthState::kStatic);
   FeedHealthy(health, 8, 36);
   EXPECT_EQ(health.state(), HealthState::kFull);
@@ -172,9 +216,9 @@ TEST(EstimatorHealthTest, FreshDiagSignalCatchesAWouldBeFreezeAsRescue) {
   ASSERT_EQ(health.state(), HealthState::kFull);
   // Freshness path: past static_after the floor is kDiagAssisted, not
   // kStatic, because the in-network observer vouches for the flow.
-  health.Tick(Ms(18));
+  TickBusy(health, 18);
   EXPECT_EQ(health.state(), HealthState::kLocalOnly);
-  health.Tick(Ms(58));
+  TickBusy(health, 58);
   EXPECT_EQ(health.state(), HealthState::kDiagAssisted);
   EXPECT_EQ(health.counters().diag_rescues, 1u);
   EXPECT_EQ(health.counters().diag_dropouts, 0u);
@@ -185,16 +229,16 @@ TEST(EstimatorHealthTest, DiagSignalDropoutFallsToStatic) {
   bool fresh = true;
   health.SetDiagSignal([&fresh](TimePoint) { return fresh; });
   FeedHealthy(health, 8, 0);
-  health.Tick(Ms(58));
+  TickBusy(health, 58);
   ASSERT_EQ(health.state(), HealthState::kDiagAssisted);
   // The tapped flow goes quiet: the refuge is gone, freeze for real.
   fresh = false;
-  health.Tick(Ms(60));
+  TickBusy(health, 60);
   EXPECT_EQ(health.state(), HealthState::kStatic);
   EXPECT_EQ(health.counters().diag_dropouts, 1u);
   // And a returning signal recovers kDiagAssisted from kStatic.
   fresh = true;
-  health.Tick(Ms(62));
+  TickBusy(health, 62);
   EXPECT_EQ(health.state(), HealthState::kDiagAssisted);
   EXPECT_EQ(health.counters().diag_rescues, 2u);
 }
@@ -222,7 +266,7 @@ TEST(EstimatorHealthTest, DiagAssistedIsNotATrustRung) {
   EstimatorHealth health(FastConfig(), Ms(0));
   health.SetDiagSignal([](TimePoint) { return true; });
   FeedHealthy(health, 8, 0);
-  health.Tick(Ms(58));
+  TickBusy(health, 58);
   ASSERT_EQ(health.state(), HealthState::kDiagAssisted);
   FeedHealthy(health, 4, 60);
   EXPECT_EQ(health.state(), HealthState::kLocalOnly);
@@ -235,7 +279,7 @@ TEST(EstimatorHealthTest, WithoutDiagSignalChainIsThreeState) {
   // kDiagAssisted is unreachable and every floor is kStatic.
   EstimatorHealth health(FastConfig(), Ms(0));
   FeedHealthy(health, 8, 0);
-  health.Tick(Ms(58));
+  TickBusy(health, 58);
   EXPECT_EQ(health.state(), HealthState::kStatic);
   EXPECT_EQ(health.counters().diag_rescues, 0u);
   EXPECT_EQ(health.counters().diag_dropouts, 0u);
@@ -248,7 +292,7 @@ TEST(EstimatorHealthTest, WithoutDiagSignalChainIsThreeState) {
   EstimatorHealth stale(FastConfig(), Ms(0));
   stale.SetDiagSignal([](TimePoint) { return false; });
   FeedHealthy(stale, 8, 0);
-  stale.Tick(Ms(58));
+  TickBusy(stale, 58);
   EXPECT_EQ(stale.state(), HealthState::kStatic);
   EXPECT_EQ(stale.counters().diag_rescues, 0u);
 }
