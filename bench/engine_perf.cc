@@ -7,7 +7,10 @@
 //      replaced (embedded below verbatim), on a schedule/pop ring and a
 //      schedule/cancel/pop churn workload. Callbacks carry a Packet-sized
 //      capture so the baseline pays its real-world std::function heap
-//      allocation and the slot store shows its inline-storage win.
+//      allocation and the slot store shows its inline-storage win. A third
+//      workload re-arms a long timer around a few live short events (the
+//      TCP retransmit-timer pattern) and records how many heap records the
+//      queue holds for them.
 //   2. Cell wall-clock — one representative robustness cell end to end,
 //      the unit of work every sweep grid is made of.
 //   3. Sweep scaling — an 8-cell robustness grid through the parallel
@@ -28,7 +31,8 @@
 // artifact, not part of the byte-determinism contract. CI runs
 // `engine_perf --smoke`, uploads BENCH_engine.json, and asserts the
 // events/sec *ratios* from it (slot vs. legacy queue; 1-shard vs. N-shard
-// and jobs=1 vs. jobs=N on multi-core runners) — never raw wall times.
+// and jobs=1 vs. jobs=N on multi-core runners) plus the re-arm workload's
+// heap-record count — never raw wall times.
 // Because ratio gates on loaded CI runners are noisy, a measurement whose
 // ratio lands under its gate is re-measured once and the better ratio is
 // kept (the retry is recorded in the JSON).
@@ -241,6 +245,57 @@ double ScheduleCancelPopNs(size_t ops) {
   return elapsed / static_cast<double>(ops) * 1e9;
 }
 
+// Long-timer re-arm churn: kRearmShortEvents short events stay pending;
+// each iteration cancels and re-arms a timer 200 ms out (what every
+// advancing ack does to the retransmit timer), then pops the earliest short
+// event and schedules its replacement. The canceled timer records are due
+// far in the future, so unlike ScheduleCancelPopNs (whose doomed event sits
+// 1 ns behind the one it keeps and surfaces on the next pop) nothing but
+// compaction ever removes them; `heap_records` shows whether the queue
+// keeps them near the live count.
+constexpr size_t kRearmShortEvents = 64;
+
+struct RearmChurn {
+  double ns_per_op = 0;
+  size_t live = 0;          // Pending events at the end (short + timer).
+  size_t heap_records = 0;  // Heap records at the end, stale included.
+};
+
+RearmChurn MeasureRearmChurn(size_t ops) {
+  EventQueue q;
+  uint64_t sum = 0;
+  CaptureBallast ballast;
+  ballast.bytes[0] = 1;
+  for (size_t i = 0; i < kRearmShortEvents; ++i) {
+    q.Push(TimePoint::FromNanos(static_cast<int64_t>(i) + 1),
+           [&sum, ballast] { sum += ballast.bytes[0]; });
+  }
+  const Duration timeout = Duration::Millis(200);
+  EventId timer = q.Push(TimePoint::Zero() + timeout, [] {});
+  TimePoint now = TimePoint::Zero();
+  const double start = NowSeconds();
+  for (size_t i = 0; i < ops; ++i) {
+    q.Cancel(timer);
+    timer = q.Push(now + timeout, [] {});
+    now = q.NextTime();
+    auto entry = q.Pop();
+    entry.cb();
+    q.Push(entry.when + Duration::Nanos(static_cast<int64_t>(kRearmShortEvents)),
+           [&sum, ballast] { sum += ballast.bytes[0]; });
+  }
+  const double elapsed = NowSeconds() - start;
+  if (sum != ops) {
+    std::fprintf(stderr, "FATAL: re-arm microbench fired %llu short events, expected %llu\n",
+                 static_cast<unsigned long long>(sum), static_cast<unsigned long long>(ops));
+    std::abort();
+  }
+  RearmChurn result;
+  result.ns_per_op = elapsed / static_cast<double>(ops) * 1e9;
+  result.live = q.size();
+  result.heap_records = q.heap_records();
+  return result;
+}
+
 // ---------------------------------------------------------------------------
 // Sweep-scaling section: an 8-cell robustness grid (the smallest grid the
 // parallel-identity acceptance bar names). Seeds differ per cell so the
@@ -435,8 +490,10 @@ struct MemoryPoint {
 
 // Per-connection memory budget. Far above it (at ~175 KB/connection) the
 // 100k-connection shard curve is OOM-killed on a 16 GB runner, so the
-// memory phase aborts with a message first.
-constexpr double kMaxBytesPerConnection = 32 * 1024;
+// memory phase aborts with a message first. Empty per-component FIFOs
+// allocate nothing (src/sim/ring.h), which put a lean connection near
+// 8 KB; the bound leaves headroom for allocator and page granularity.
+constexpr double kMaxBytesPerConnection = 12 * 1024;
 
 MemoryPoint MeasureConnectionMemory(bool smoke) {
   MemoryPoint point;
@@ -544,6 +601,9 @@ int Main(int argc, char** argv) {
       .Num(1e3 / legacy_cancel_ns, 2)
       .Cell(FormatFactor(cancel_speedup));
   micro.Print();
+  const RearmChurn rearm = MeasureRearmChurn(ops);
+  std::printf("re-arm churn: %.1f ns/op, %zu live events held in %zu heap records\n",
+              rearm.ns_per_op, rearm.live, rearm.heap_records);
 
   // --- 2. Cell wall-clock ---
   const double cell_start = NowSeconds();
@@ -704,6 +764,9 @@ int Main(int argc, char** argv) {
   json.KV("slot_schedule_cancel_pop_ns", slot_cancel_ns, 2);
   json.KV("legacy_schedule_cancel_pop_ns", legacy_cancel_ns, 2);
   json.KV("schedule_cancel_pop_speedup", cancel_speedup, 3);
+  json.KV("rearm_ns", rearm.ns_per_op, 2);
+  json.KV("rearm_live", static_cast<uint64_t>(rearm.live));
+  json.KV("rearm_heap_records", static_cast<uint64_t>(rearm.heap_records));
   json.KV("retried", static_cast<uint64_t>(queue_retried ? 1 : 0));
   json.EndObject();
   json.Key("cell").BeginObject();

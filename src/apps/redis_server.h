@@ -11,13 +11,13 @@
 #define SRC_APPS_REDIS_SERVER_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/apps/cost_profile.h"
 #include "src/apps/kv_store.h"
 #include "src/apps/messages.h"
+#include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/endpoint.h"
 
@@ -60,7 +60,7 @@ class RedisServerApp {
   bool work_pending_ = false;
   bool request_work_active_ = false;
   std::vector<AppRequestPtr> batch_;
-  std::deque<AppRequestPtr> pending_requests_;
+  Ring<AppRequestPtr> pending_requests_;
   Stats stats_;
 };
 

@@ -40,7 +40,6 @@
 #define SRC_NET_FABRIC_SWITCH_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -48,6 +47,7 @@
 
 #include "src/net/link.h"
 #include "src/net/packet.h"
+#include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 
 namespace e2e {
@@ -126,7 +126,7 @@ class SwitchPort {
   Link* egress_;
   SwitchPortConfig config_;
   std::string name_;
-  std::deque<Packet> queue_;  // Excludes the packet in service.
+  Ring<Packet> queue_;        // Excludes the packet in service.
   size_t queue_bytes_ = 0;    // Includes the packet in service.
   size_t queue_packets_ = 0;  // Includes the packet in service.
   bool serving_ = false;

@@ -69,8 +69,8 @@ void ReorderStage::DeliverPacket(Packet packet) {
   Forward(std::move(packet));
   // The packet that just passed overtakes every held packet; release (in
   // hold order) the ones whose gap is now satisfied.
-  for (Held& h : held_) {
-    ++h.passed;
+  for (size_t i = 0; i < held_.size(); ++i) {
+    ++held_[i].passed;
   }
   while (!held_.empty() && held_.front().passed >= config_.gap) {
     ReleaseFront(/*overtaken=*/true);

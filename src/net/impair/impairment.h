@@ -25,7 +25,6 @@
 #define SRC_NET_IMPAIR_IMPAIRMENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -36,6 +35,7 @@
 #include "src/net/impair/loss_model.h"
 #include "src/net/packet.h"
 #include "src/sim/random.h"
+#include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -209,7 +209,7 @@ class ReorderStage : public ImpairmentStage {
   void ReleaseByToken(uint64_t token);
 
   ReorderConfig config_;
-  std::deque<Held> held_;
+  Ring<Held> held_;
   uint64_t next_token_ = 1;
 };
 

@@ -17,7 +17,6 @@
 #define SRC_NET_NIC_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 #include <vector>
@@ -25,6 +24,7 @@
 #include "src/net/link.h"
 #include "src/net/packet.h"
 #include "src/sim/cpu.h"
+#include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -87,7 +87,7 @@ class Nic : public PacketSink {
   RxHandler rx_handler_;
   TxCompleteHandler tx_complete_;
 
-  std::deque<Packet> rx_backlog_;
+  Ring<Packet> rx_backlog_;
   size_t tx_done_backlog_ = 0;
   size_t tx_in_flight_ = 0;
   bool poll_scheduled_ = false;

@@ -1,4 +1,4 @@
-// Move-only type-erased void() callable with a large inline buffer.
+// Move-only type-erased R() callable with a large inline buffer.
 //
 // The event-loop hot path schedules millions of closures per simulated
 // second; `std::function`'s small-buffer optimization (16 bytes in
@@ -8,6 +8,10 @@
 // callback inline and Push/Pop never allocate for simulator-sized closures.
 // Oversized or over-aligned callables still fall back to the heap, and
 // move-only captures (which `std::function` rejects outright) are allowed.
+//
+// `InlineCallback` is the void() form the event queue stores;
+// `BasicInlineCallback<R>` returns R (CpuCore's start functions return
+// their processing cost).
 
 #ifndef SRC_SIM_CALLBACK_H_
 #define SRC_SIM_CALLBACK_H_
@@ -20,7 +24,8 @@
 
 namespace e2e {
 
-class InlineCallback {
+template <typename R>
+class BasicInlineCallback {
  public:
   // Sized so sizeof(InlineCallback) == 112: room for a lambda capturing
   // `this` plus a full Packet (64 bytes) with headroom for a couple of
@@ -28,13 +33,13 @@ class InlineCallback {
   // stays within two cache lines.
   static constexpr size_t kInlineBytes = 104;
 
-  InlineCallback() = default;
+  BasicInlineCallback() = default;
 
   template <typename F,
             typename D = std::decay_t<F>,
-            typename = std::enable_if_t<!std::is_same_v<D, InlineCallback> &&
-                                        std::is_invocable_r_v<void, D&>>>
-  InlineCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+            typename = std::enable_if_t<!std::is_same_v<D, BasicInlineCallback> &&
+                                        std::is_invocable_r_v<R, D&>>>
+  BasicInlineCallback(F&& f) {  // NOLINT(google-explicit-constructor)
     if constexpr (FitsInline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
@@ -45,14 +50,14 @@ class InlineCallback {
     }
   }
 
-  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
+  BasicInlineCallback(BasicInlineCallback&& other) noexcept : ops_(other.ops_) {
     if (ops_ != nullptr) {
       ops_->relocate(other.buf_, buf_);
       other.ops_ = nullptr;
     }
   }
 
-  InlineCallback& operator=(InlineCallback&& other) noexcept {
+  BasicInlineCallback& operator=(BasicInlineCallback&& other) noexcept {
     if (this != &other) {
       Reset();
       ops_ = other.ops_;
@@ -64,18 +69,18 @@ class InlineCallback {
     return *this;
   }
 
-  InlineCallback(const InlineCallback&) = delete;
-  InlineCallback& operator=(const InlineCallback&) = delete;
+  BasicInlineCallback(const BasicInlineCallback&) = delete;
+  BasicInlineCallback& operator=(const BasicInlineCallback&) = delete;
 
-  ~InlineCallback() { Reset(); }
+  ~BasicInlineCallback() { Reset(); }
 
-  void operator()() { ops_->invoke(buf_); }
+  R operator()() { return ops_->invoke(buf_); }
 
   explicit operator bool() const { return ops_ != nullptr; }
 
  private:
   struct Ops {
-    void (*invoke)(void* storage);
+    R (*invoke)(void* storage);
     // Move the callable from `from` storage into `to` storage and destroy
     // the source. Both point at `buf_`-sized buffers.
     void (*relocate)(void* from, void* to);
@@ -88,6 +93,17 @@ class InlineCallback {
            std::is_nothrow_move_constructible_v<D>;
   }
 
+  // Calls `f`, discarding its result when R is void (a void() callback may
+  // wrap a callable that returns something).
+  template <typename D>
+  static R Invoke(D& f) {
+    if constexpr (std::is_void_v<R>) {
+      f();
+    } else {
+      return f();
+    }
+  }
+
   template <typename D>
   static D* HeapPtr(void* storage) {
     D* p;
@@ -97,7 +113,7 @@ class InlineCallback {
 
   template <typename D>
   static constexpr Ops kInlineOps = {
-      [](void* s) { (*std::launder(reinterpret_cast<D*>(s)))(); },
+      [](void* s) -> R { return Invoke(*std::launder(reinterpret_cast<D*>(s))); },
       [](void* from, void* to) {
         D* f = std::launder(reinterpret_cast<D*>(from));
         ::new (to) D(std::move(*f));
@@ -108,7 +124,7 @@ class InlineCallback {
 
   template <typename D>
   static constexpr Ops kHeapOps = {
-      [](void* s) { (*HeapPtr<D>(s))(); },
+      [](void* s) -> R { return Invoke(*HeapPtr<D>(s)); },
       [](void* from, void* to) { std::memcpy(to, from, sizeof(D*)); },
       [](void* s) { delete HeapPtr<D>(s); },
   };
@@ -123,6 +139,8 @@ class InlineCallback {
   alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
   const Ops* ops_ = nullptr;
 };
+
+using InlineCallback = BasicInlineCallback<void>;
 
 }  // namespace e2e
 

@@ -10,7 +10,7 @@ CpuCore::CpuCore(Simulator* sim, std::string name) : sim_(sim), name_(std::move(
 }
 
 void CpuCore::Submit(StartFn start, DoneFn done) {
-  assert(start != nullptr);
+  assert(start);
   queue_.push_back(Work{std::move(start), std::move(done)});
   if (!busy_ && !stalled()) {
     BeginNext();
@@ -55,15 +55,21 @@ void CpuCore::BeginNext() {
   current_started_ = sim_->Now();
   const Duration cost = work.start();
   assert(cost >= Duration::Zero());
-  sim_->Schedule(cost, [this, done = std::move(work.done), cost] {
-    busy_accum_ += cost;
-    busy_ = false;
-    ++items_done_;
-    if (done) {
-      done();
-    }
-    MaybeBegin();
-  });
+  running_done_ = std::move(work.done);
+  sim_->Schedule(cost, [this, cost] { Finish(cost); });
+}
+
+void CpuCore::Finish(Duration cost) {
+  busy_accum_ += cost;
+  busy_ = false;
+  ++items_done_;
+  // Move the done out first: it may Submit, which starts the next item
+  // right away and refills running_done_.
+  DoneFn done = std::move(running_done_);
+  if (done) {
+    done();
+  }
+  MaybeBegin();
 }
 
 }  // namespace e2e

@@ -9,15 +9,21 @@
 // observed at start time, e.g. how many requests are waiting), and an
 // optional `DoneFn` that runs when that cost has elapsed (this is where
 // externally visible effects — transmissions, responses — belong).
+//
+// Both are inline callables (src/sim/callback.h) queued in a Ring, and the
+// core holds the executing item's DoneFn itself, so its completion event
+// captures only {this, cost}: submitting and running work allocates nothing
+// once the ring has grown to the core's working depth. A `done` may Submit
+// to the same core; an idle core starts that item at once, inside Submit.
 
 #ifndef SRC_SIM_CPU_H_
 #define SRC_SIM_CPU_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
 
+#include "src/sim/callback.h"
+#include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
@@ -25,8 +31,8 @@ namespace e2e {
 
 class CpuCore {
  public:
-  using StartFn = std::function<Duration()>;
-  using DoneFn = std::function<void()>;
+  using StartFn = BasicInlineCallback<Duration>;
+  using DoneFn = InlineCallback;
 
   CpuCore(Simulator* sim, std::string name);
   CpuCore(const CpuCore&) = delete;
@@ -34,10 +40,10 @@ class CpuCore {
 
   // Enqueues a work item. Runs immediately (at the current instant) when the
   // core is idle; otherwise after all previously queued work.
-  void Submit(StartFn start, DoneFn done = nullptr);
+  void Submit(StartFn start, DoneFn done = {});
 
   // Convenience for items whose cost is known at submission time.
-  void SubmitFixed(Duration cost, DoneFn done = nullptr);
+  void SubmitFixed(Duration cost, DoneFn done = {});
 
   // Freezes the core for `d` (a VM preemption or GC pause): the item
   // currently executing finishes on schedule, but nothing new starts until
@@ -67,10 +73,13 @@ class CpuCore {
 
   void BeginNext();
   void MaybeBegin();
+  // Completion of the executing item: accounts its cost, runs its done.
+  void Finish(Duration cost);
 
   Simulator* sim_;
   std::string name_;
-  std::deque<Work> queue_;
+  Ring<Work> queue_;
+  DoneFn running_done_;  // The executing item's done.
   bool busy_ = false;
   TimePoint current_started_;
   Duration busy_accum_;

@@ -23,17 +23,12 @@ void EventQueue::SiftHoleUp(size_t index, const HeapItem& item) {
   heap_[index] = item;
 }
 
-void EventQueue::RemoveTop() {
-  const HeapItem last = heap_.back();
-  heap_.pop_back();
+void EventQueue::SiftHoleDown(size_t index, HeapItem item) {
+  // Promote the smallest child into the hole until `item` fits. The four
+  // children are contiguous, so one level costs at most two cache lines.
+  // `item` is a copy: the loop overwrites heap_[index], which may be where
+  // the caller read it from.
   const size_t n = heap_.size();
-  if (n == 0) {
-    return;
-  }
-  // Sift the former last record down from the root: promote the smallest
-  // child into the hole until `last` fits. The four children are contiguous,
-  // so one level costs at most two cache lines.
-  size_t index = 0;
   for (;;) {
     const size_t first = index * kArity + 1;
     if (first >= n) {
@@ -46,13 +41,34 @@ void EventQueue::RemoveTop() {
         best = c;
       }
     }
-    if (!Before(heap_[best], last)) {
+    if (!Before(heap_[best], item)) {
       break;
     }
     heap_[index] = heap_[best];
     index = best;
   }
-  heap_[index] = last;
+  heap_[index] = item;
+}
+
+void EventQueue::RemoveTop() {
+  const HeapItem last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) {
+    SiftHoleDown(0, last);
+  }
+}
+
+void EventQueue::Compact() {
+  heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
+                             [this](const HeapItem& item) { return Stale(item); }),
+              heap_.end());
+  // Bottom-up heapify: sift every internal node down, deepest first.
+  const size_t n = heap_.size();
+  if (n > 1) {
+    for (size_t i = (n - 2) / kArity + 1; i-- > 0;) {
+      SiftHoleDown(i, heap_[i]);
+    }
+  }
 }
 
 EventId EventQueue::Push(TimePoint when, Callback cb) {
@@ -94,7 +110,13 @@ bool EventQueue::Cancel(EventId id) {
   FreeSlot(slot);
   assert(live_ > 0);
   --live_;
-  // The heap record stays behind; SkipStale() discards it when it surfaces.
+  // The heap record stays behind; SkipStale() discards it when it surfaces,
+  // or Compact() once stale records outnumber live ones. Compacting r
+  // records needs r >= 2 * live_, so at least r / 2 cancels happened since
+  // the last compaction left no stale record: Cancel stays amortized O(1).
+  if (heap_.size() >= kCompactMinRecords && heap_.size() >= 2 * live_) {
+    Compact();
+  }
   return true;
 }
 
@@ -106,7 +128,7 @@ void EventQueue::SetSlotGenerationForTest(uint32_t slot, uint64_t generation) {
 }
 
 void EventQueue::SkipStale() {
-  while (!heap_.empty() && heap_.front().generation != slots_[heap_.front().slot].generation) {
+  while (!heap_.empty() && Stale(heap_.front())) {
     RemoveTop();
   }
 }

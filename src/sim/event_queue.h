@@ -14,6 +14,15 @@
 // that fit InlineCallback's buffer, no allocation beyond amortized vector
 // growth.
 //
+// Lazy deletion alone lets stale records pile up: a TCP retransmit timer is
+// canceled and re-armed ~200 ms out on every advancing ack, and its stale
+// records surface only when their far-off time comes due. Without
+// compaction a two-host paper cell averages 22k heap records for 17 live
+// events, and every push and pop pays for the deeper heap. So Cancel()
+// compacts once stale records outnumber live ones (at least
+// kCompactMinRecords records and at least 2 x live): it erases every stale
+// record and re-heapifies in place, bounding the heap at 2 x live + 64.
+//
 // The heap is 4-ary rather than binary: sift-down — the Pop() hot path —
 // visits half as many levels, and the four children of a node share one or
 // two cache lines (32-byte records), which is what puts schedule/pop ahead
@@ -27,9 +36,10 @@
 // global heap. The default constructor uses the default pmr resource and
 // behaves exactly as before.
 //
-// Complexity (n = live + stale heap records):
+// Complexity (n = live + stale heap records, n <= 2 x live + 64):
 //   Push      O(log n); allocation-free once vectors reach steady capacity.
-//   Cancel    O(1); never touches the heap.
+//   Cancel    O(1) amortized; a compaction over r records follows at least
+//             r / 2 cancels.
 //   Pop       O(log n) amortized — each stale record is discarded exactly once.
 //   NextTime  O(log n) amortized, same skip loop as Pop.
 //   Empty     O(1), const (live-event counter; never mutates).
@@ -111,6 +121,10 @@ class EventQueue {
   // per-domain occupancy statistic engine_perf commits to BENCH_engine.json.
   uint64_t max_live() const { return max_live_; }
 
+  // Heap records, live plus stale (canceled, not yet discarded). Never
+  // exceeds 2 * size() + 64 after a Cancel().
+  size_t heap_records() const { return heap_.size(); }
+
   // Test-only: overwrite a free slot's generation counter to exercise the
   // wraparound regression (e.g. the old 32-bit truncation boundary). The slot
   // must exist and must not hold a live event.
@@ -146,12 +160,24 @@ class EventQueue {
   // the freelist. The caller adjusts live_.
   void FreeSlot(uint32_t slot);
 
+  // A record whose slot was freed (its event fired or was canceled).
+  bool Stale(const HeapItem& item) const {
+    return item.generation != slots_[item.slot].generation;
+  }
+
   // Drops stale (canceled) records from the head of the heap.
   void SkipStale();
 
-  // 4-ary heap primitives. SiftHoleUp places `item` starting from the hole
-  // at `index`; RemoveTop fills the root from the last record.
+  // Erases every stale record and re-heapifies in place. Pop order cannot
+  // change: (when, seq) is a strict total order, so every valid heap over
+  // the same live records pops the same sequence.
+  void Compact();
+  static constexpr size_t kCompactMinRecords = 64;
+
+  // 4-ary heap primitives. SiftHoleUp/SiftHoleDown place `item` starting
+  // from the hole at `index`; RemoveTop fills the root from the last record.
   void SiftHoleUp(size_t index, const HeapItem& item);
+  void SiftHoleDown(size_t index, HeapItem item);
   void RemoveTop();
 
   std::pmr::vector<HeapItem> heap_;  // 4-ary implicit min-heap, root at 0.

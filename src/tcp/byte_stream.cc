@@ -28,17 +28,19 @@ ByteStreamQueue::Consumed ByteStreamQueue::ConsumeTo(uint64_t to) {
   return consumed;
 }
 
-std::vector<BoundaryEntry> ByteStreamQueue::BoundariesIn(uint64_t start, uint64_t end) const {
-  std::vector<BoundaryEntry> result;
-  for (const BoundaryEntry& entry : boundaries_) {
-    if (entry.end_offset > end) {
-      break;
-    }
-    if (entry.end_offset > start) {
-      result.push_back(entry);
+size_t ByteStreamQueue::FirstBoundaryAfter(uint64_t offset) const {
+  // Binary search over the sorted end offsets.
+  size_t lo = 0;
+  size_t hi = boundaries_.size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (boundaries_[mid].end_offset <= offset) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
     }
   }
-  return result;
+  return lo;
 }
 
 }  // namespace e2e

@@ -14,10 +14,10 @@
 #define SRC_TCP_BYTE_STREAM_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
+#include "src/sim/ring.h"
 #include "src/sim/time.h"
 
 namespace e2e {
@@ -73,13 +73,17 @@ class ByteStreamQueue {
   // Consumes exactly up to absolute offset `to` (head <= to <= tail).
   Consumed ConsumeTo(uint64_t to);
 
-  // Boundaries with end offset in (start, end]; used when building segments.
-  std::vector<BoundaryEntry> BoundariesIn(uint64_t start, uint64_t end) const;
+  // The i-th boundary in stream order (0 is the oldest).
+  const BoundaryEntry& boundary(size_t i) const { return boundaries_[i]; }
+
+  // Index of the first boundary whose end offset exceeds `offset`, or
+  // boundary_count() if none does. Segment builders walk forward from here.
+  size_t FirstBoundaryAfter(uint64_t offset) const;
 
  private:
   uint64_t head_;
   uint64_t tail_;
-  std::deque<BoundaryEntry> boundaries_;  // Sorted by end_offset.
+  Ring<BoundaryEntry> boundaries_;  // Sorted by end_offset.
 };
 
 }  // namespace e2e

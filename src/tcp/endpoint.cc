@@ -252,10 +252,10 @@ bool TcpEndpoint::MaySendSmallNow(uint64_t pending, PushReason reason) {
   return true;
 }
 
-std::vector<TcpEndpoint::PlannedPacket> TcpEndpoint::PlanPush(PushReason reason) {
-  std::vector<PlannedPacket> packets;
+void TcpEndpoint::PlanPush(PushReason reason, std::vector<PlannedPacket>& packets) {
+  assert(packets.empty());
   if (dead_) {
-    return packets;  // Work submitted before Shutdown() plans nothing.
+    return;  // Work submitted before Shutdown() plans nothing.
   }
 
   // SACK hole repair comes before new data: retransmit lost scoreboard
@@ -359,29 +359,31 @@ std::vector<TcpEndpoint::PlannedPacket> TcpEndpoint::PlanPush(PushReason reason)
       packets.push_back(BuildPureAck(exchange_due));
     }
   }
-  return packets;
 }
 
 void TcpEndpoint::SubmitPush(CpuCore* core, PushReason reason) {
-  auto planned = std::make_shared<std::vector<PlannedPacket>>();
   core->Submit(
-      [this, reason, planned]() -> Duration {
-        *planned = PlanPush(reason);
+      [this, core, reason]() -> Duration {
+        std::vector<PlannedPacket>& planned = PlannedOn(core);
+        PlanPush(reason, planned);
         Duration cost;
-        for (const PlannedPacket& p : *planned) {
+        for (const PlannedPacket& p : planned) {
           cost += p.cost;
         }
-        if (!planned->empty()) {
+        if (!planned.empty()) {
           cost += costs_->doorbell;
         }
         return cost;
       },
-      [this, planned] {
-        for (PlannedPacket& p : *planned) {
-          host_->nic().Transmit(std::move(p.packet));
-        }
-        planned->clear();
-      });
+      [this, core] { TransmitPlanned(core); });
+}
+
+void TcpEndpoint::TransmitPlanned(CpuCore* core) {
+  std::vector<PlannedPacket>& planned = PlannedOn(core);
+  for (PlannedPacket& p : planned) {
+    host_->nic().Transmit(std::move(p.packet));
+  }
+  planned.clear();
 }
 
 void TcpEndpoint::StampOutgoing(TcpSegment& seg, bool force_exchange) {
@@ -482,7 +484,9 @@ void TcpEndpoint::StampOutgoing(TcpSegment& seg, bool force_exchange) {
 TcpEndpoint::PlannedPacket TcpEndpoint::BuildPacketFor(uint64_t start, uint64_t take,
                                                        bool is_retransmit) {
   assert(take > 0);
-  std::vector<BoundaryEntry> bounds = sndq_.BoundariesIn(start, start + take);
+  // Slices cover consecutive ranges, so one cursor walks the send queue's
+  // boundaries in (start, start + take] exactly once.
+  size_t next_boundary = sndq_.FirstBoundaryAfter(start);
 
   Packet packet;
   packet.id = next_packet_id_++;
@@ -495,12 +499,14 @@ TcpEndpoint::PlannedPacket TcpEndpoint::BuildPacketFor(uint64_t start, uint64_t 
     seg->seq = WrapSeq(seg_start);
     seg->len = static_cast<uint32_t>(seg_len);
     seg->is_retransmit = is_retransmit;
-    for (const BoundaryEntry& b : bounds) {
-      if (b.end_offset > seg_start && b.end_offset <= seg_start + seg_len) {
-        seg->boundaries.push_back(
-            TcpSegment::Boundary{static_cast<uint32_t>(b.end_offset - seg_start), b.record});
-        seg->flags |= kFlagPsh;
+    for (; next_boundary < sndq_.boundary_count(); ++next_boundary) {
+      const BoundaryEntry& b = sndq_.boundary(next_boundary);
+      if (b.end_offset > seg_start + seg_len) {
+        break;
       }
+      seg->boundaries.push_back(
+          TcpSegment::Boundary{static_cast<uint32_t>(b.end_offset - seg_start), b.record});
+      seg->flags |= kFlagPsh;
     }
     return seg;
   };
@@ -1039,20 +1045,15 @@ void TcpEndpoint::ArmPersistTimer() {
     // the CPU work may run after CloseEndpoint parks this endpoint in the
     // graveyard (already-queued work items keep running), so each re-checks
     // dead_ before touching send state or the NIC.
-    auto planned = std::make_shared<std::optional<PlannedPacket>>();
-    host_->softirq_core().Submit(
-        [this, planned]() -> Duration {
+    CpuCore* core = &host_->softirq_core();
+    core->Submit(
+        [this, core]() -> Duration {
           if (dead_) {
             return Duration::Zero();
           }
-          *planned = BuildDataPacket(1);
-          return (*planned)->cost + costs_->doorbell;
+          return PlanProbe(core, BuildDataPacket(1));
         },
-        [this, planned] {
-          if (planned->has_value() && !dead_) {
-            host_->nic().Transmit(std::move((*planned)->packet));
-          }
-        });
+        [this, core] { TransmitProbe(core); });
     ArmPersistTimer();  // Keep probing on the backed-off schedule.
   });
 }
@@ -1105,20 +1106,15 @@ void TcpEndpoint::OnTlpFire() {
     const uint64_t start = tail->first;
     const uint64_t len = tail->second.end - start;
     timed_end_.reset();  // Karn: the probe is a retransmission.
-    auto planned = std::make_shared<std::optional<PlannedPacket>>();
-    host_->softirq_core().Submit(
-        [this, planned, start, len]() -> Duration {
+    CpuCore* core = &host_->softirq_core();
+    core->Submit(
+        [this, core, start, len]() -> Duration {
           if (dead_ || start < sndq_.head_offset() || start + len > snd_nxt_) {
             return Duration::Zero();  // Acked while the work was queued.
           }
-          *planned = BuildPacketFor(start, len, /*is_retransmit=*/true);
-          return (*planned)->cost + costs_->doorbell;
+          return PlanProbe(core, BuildPacketFor(start, len, /*is_retransmit=*/true));
         },
-        [this, planned] {
-          if (planned->has_value() && !dead_) {
-            host_->nic().Transmit(std::move((*planned)->packet));
-          }
-        });
+        [this, core] { TransmitProbe(core); });
   }
   ArmRtoTimer();
 }
@@ -1178,20 +1174,31 @@ void TcpEndpoint::OnRtoFire() {
 
 void TcpEndpoint::SubmitRetransmit() {
   timed_end_.reset();  // Karn's rule: no sample across a retransmission.
-  auto planned = std::make_shared<std::optional<PlannedPacket>>();
-  host_->softirq_core().Submit(
-      [this, planned]() -> Duration {
+  CpuCore* core = &host_->softirq_core();
+  core->Submit(
+      [this, core]() -> Duration {
         if (dead_ || snd_nxt_ == sndq_.head_offset()) {
           return Duration::Zero();
         }
-        *planned = BuildRetransmit();
-        return (*planned)->cost + costs_->doorbell;
+        return PlanProbe(core, BuildRetransmit());
       },
-      [this, planned] {
-        if (planned->has_value()) {
-          host_->nic().Transmit(std::move((*planned)->packet));
-        }
-      });
+      [this, core] { TransmitPlanned(core); });
+}
+
+Duration TcpEndpoint::PlanProbe(CpuCore* core, PlannedPacket packet) {
+  std::vector<PlannedPacket>& planned = PlannedOn(core);
+  assert(planned.empty());
+  const Duration cost = packet.cost + costs_->doorbell;
+  planned.push_back(std::move(packet));
+  return cost;
+}
+
+void TcpEndpoint::TransmitProbe(CpuCore* core) {
+  if (dead_) {
+    PlannedOn(core).clear();  // Closed while the work ran: drop the probe.
+  } else {
+    TransmitPlanned(core);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1459,9 +1466,9 @@ void TcpEndpoint::OnKeepaliveFire() {
   const uint64_t probe_seq = snd_nxt_ - 1;
   // Like the persist probe, the queued CPU work may outlive the endpoint's
   // close (graveyard): re-check dead_ in both halves.
-  auto planned = std::make_shared<std::optional<PlannedPacket>>();
-  host_->softirq_core().Submit(
-      [this, planned, probe_seq]() -> Duration {
+  CpuCore* core = &host_->softirq_core();
+  core->Submit(
+      [this, core, probe_seq]() -> Duration {
         if (dead_) {
           return Duration::Zero();
         }
@@ -1479,14 +1486,9 @@ void TcpEndpoint::OnKeepaliveFire() {
         PlannedPacket p;
         p.packet = std::move(packet);
         p.cost = costs_->pure_ack_tx;
-        *planned = std::move(p);
-        return (*planned)->cost + costs_->doorbell;
+        return PlanProbe(core, std::move(p));
       },
-      [this, planned] {
-        if (planned->has_value() && !dead_) {
-          host_->nic().Transmit(std::move((*planned)->packet));
-        }
-      });
+      [this, core] { TransmitProbe(core); });
   ArmKeepaliveTimer(config_.keepalive.interval);
 }
 

@@ -20,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -32,6 +31,7 @@
 #include "src/core/estimator.h"
 #include "src/core/hints.h"
 #include "src/net/host.h"
+#include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/byte_stream.h"
 #include "src/tcp/rtt.h"
@@ -258,9 +258,23 @@ class TcpEndpoint {
 
   // Submits a push work item on `core`; planning happens at work start.
   void SubmitPush(CpuCore* core, PushReason reason);
-  // Plans transmittable segments right now (mutates snd state). Returns the
-  // packets plus their CPU cost.
-  std::vector<PlannedPacket> PlanPush(PushReason reason);
+  // Plans transmittable segments right now (mutates snd state), appending
+  // the packets plus their CPU cost to `packets`.
+  void PlanPush(PushReason reason, std::vector<PlannedPacket>& packets);
+  // The list a work item on `core` plans into at its start and transmits
+  // from at its done. One list per host core is enough: a CpuCore runs one
+  // item at a time, and an item's done empties the list before the core
+  // can start another.
+  std::vector<PlannedPacket>& PlannedOn(CpuCore* core) {
+    return planned_[core == &host_->app_core() ? 0 : 1];
+  }
+  // Hands every packet planned on `core` to the NIC and empties the list.
+  void TransmitPlanned(CpuCore* core);
+  // The single-packet probe paths (persist, TLP, retransmit, keepalive):
+  // PlanProbe queues `packet` on `core`'s list and returns the work cost;
+  // TransmitProbe sends it unless the endpoint closed in the meantime.
+  Duration PlanProbe(CpuCore* core, PlannedPacket packet);
+  void TransmitProbe(CpuCore* core);
   // Builds one (possibly TSO super-) segment covering
   // [snd_nxt_, snd_nxt_ + take) and advances snd_nxt_.
   PlannedPacket BuildDataPacket(uint64_t take);
@@ -433,7 +447,7 @@ class TcpEndpoint {
   // the SACK block containing it listed first.
   uint64_t last_ooo_arrival_ = 0;
   EventId delack_timer_ = kInvalidEventId;
-  std::deque<uint64_t> unacked_rx_boundaries_;  // Syscall-unit ackdelay queue.
+  Ring<uint64_t> unacked_rx_boundaries_;  // Syscall-unit ackdelay queue.
   // ECN receiver state. Classic ECN (RFC 3168) latches the echo until the
   // peer answers with CWR; DCTCP (RFC 8257) instead echoes the CE state of
   // the segments covered by each individual ack (the latch clears whenever
@@ -467,6 +481,7 @@ class TcpEndpoint {
   Stats stats_;
   uint64_t next_packet_id_ = 1;
   bool dead_ = false;
+  std::vector<PlannedPacket> planned_[2];  // [0] app core, [1] softirq core.
 };
 
 }  // namespace e2e

@@ -186,21 +186,23 @@ DiagnosisValidationResult RunDiagnosisValidation(const DiagnosisValidationConfig
 
   std::vector<ConnectedPair> conns(static_cast<size_t>(n));
   std::vector<uint64_t> rx_bytes(static_cast<size_t>(n), 0);
+  // Sender-paced pacers, owned here so their scheduled trampolines can
+  // refer to them (reserved: the trampolines hold references).
+  std::vector<std::function<void()>> pacers;
+  pacers.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     conns[i] = topo.Connect(i, 0, static_cast<uint64_t>(i + 1), client_tcp, server_tcp);
     TcpEndpoint* src = conns[i].a;
     TcpEndpoint* dst = conns[i].b;
     dst->SetReadableCallback([dst, &rx_bytes, i] { rx_bytes[i] += dst->Recv().bytes; });
     if (config.scenario == DiagScenario::kSenderPaced) {
-      // Heap-stable self-rescheduling closure: the pacer outlives each
-      // scheduled invocation.
-      auto tick = std::make_shared<std::function<void()>>();
-      *tick = [&sim, src, tick, chunk = config.paced_chunk_bytes,
-               interval = config.paced_interval] {
+      std::function<void()>& tick = pacers.emplace_back();
+      tick = [&sim, &tick, src, chunk = config.paced_chunk_bytes,
+              interval = config.paced_interval] {
         src->Send(chunk, MessageRecord{});
-        sim.Schedule(interval, *tick);
+        sim.Schedule(interval, [&tick] { tick(); });
       };
-      sim.Schedule(config.paced_interval, *tick);
+      sim.Schedule(config.paced_interval, [&tick] { tick(); });
     } else {
       auto pump = [src, chunk = config.chunk_bytes] {
         while (src->Send(chunk, MessageRecord{})) {

@@ -1,0 +1,120 @@
+// Steady-state heap-allocation budget of the paper's operating points.
+//
+// The event loop, the CPU model and the TCP push path are meant to run
+// without touching the allocator; what still allocates per request (segment
+// payloads, request/response objects, receive batches) is bounded here so
+// allocations cannot creep back unnoticed. This binary replaces the global
+// operator new to count, which is why it is not folded into another suite.
+//
+// Each cell runs twice, with a 200 ms and a 600 ms measurement window; the
+// difference cancels set-up, warm-up and drain, leaving the allocations of
+// 400 ms of steady-state traffic per measured request.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <new>
+
+#include "src/testbed/experiment.h"
+
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+
+void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  // aligned_alloc wants a nonzero size that is a multiple of the alignment.
+  const auto a = static_cast<std::size_t>(align);
+  const std::size_t rounded = size == 0 ? a : (size + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void* operator new(std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  return CountedAlignedAlloc(size, align);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+
+namespace e2e {
+namespace {
+
+// Allocations per measured request in steady state. With every event,
+// CPU work item and planned packet held inline, what remains per request
+// is roughly a dozen segment and message objects on each side.
+constexpr double kMaxAllocationsPerRequest = 40;
+
+struct Cell {
+  const char* name;
+  BatchMode mode;
+  double rate_rps;
+};
+
+// Figure 4's operating points: Nagle off, Nagle on, and dynamic toggling.
+constexpr Cell kCells[] = {
+    {"nodelay_37.5k", BatchMode::kStaticOff, 37500},
+    {"nagle_72.5k", BatchMode::kStaticOn, 72500},
+    {"dynamic_50k", BatchMode::kDynamic, 50000},
+};
+
+struct Count {
+  uint64_t allocations = 0;
+  uint64_t requests = 0;
+};
+
+Count RunCell(const Cell& cell, Duration measure) {
+  RedisExperimentConfig config;
+  config.batch_mode = cell.mode;
+  config.rate_rps = cell.rate_rps;
+  config.measure = measure;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  const RedisExperimentResult result = RunRedisExperiment(config);
+  Count count;
+  count.allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  count.requests = result.requests_completed;
+  return count;
+}
+
+TEST(AllocBudgetTest, PaperCellsStayUnderPerRequestBudget) {
+  for (const Cell& cell : kCells) {
+    SCOPED_TRACE(cell.name);
+    const Count short_run = RunCell(cell, Duration::Millis(200));
+    const Count long_run = RunCell(cell, Duration::Millis(600));
+    ASSERT_GT(long_run.requests, short_run.requests);
+    ASSERT_GE(long_run.allocations, short_run.allocations);
+    const double per_request =
+        static_cast<double>(long_run.allocations - short_run.allocations) /
+        static_cast<double>(long_run.requests - short_run.requests);
+    std::printf("%-14s %8.1f allocations/request (%llu requests in 400 ms)\n", cell.name,
+                per_request,
+                static_cast<unsigned long long>(long_run.requests - short_run.requests));
+    EXPECT_LE(per_request, kMaxAllocationsPerRequest);
+  }
+}
+
+}  // namespace
+}  // namespace e2e

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 namespace e2e {
@@ -79,6 +81,33 @@ TEST(CpuCoreTest, DoneCallbackMaySubmitMoreWork) {
   sim.Run();
   // Work submitted from a done-callback queues behind already-queued work.
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+// A done that submits to its own, now idle, core: the new item starts at
+// once, inside Submit, and the core moves on to holding the new item's done
+// while the first done is still running. The first done's captures must
+// survive that, and each done must run exactly once, in FIFO order.
+TEST(CpuCoreTest, DoneSubmittingToIdleCoreKeepsRunningDoneIntact) {
+  Simulator sim;
+  CpuCore core(&sim, "t");
+  std::vector<std::string> log;
+  auto token = std::make_shared<std::string>("first");
+  core.SubmitFixed(Duration::Micros(1), [&, token] {
+    log.push_back("done1 " + *token);
+    core.Submit(
+        [&]() -> Duration {
+          log.push_back("start2");
+          return Duration::Micros(1);
+        },
+        [&] { log.push_back("done2"); });
+    log.push_back("done1 " + *token + " after submit");
+  });
+  token.reset();  // The queued done now holds the only reference.
+  sim.Run();
+  EXPECT_EQ(log, (std::vector<std::string>{"done1 first", "start2", "done1 first after submit",
+                                           "done2"}));
+  EXPECT_EQ(sim.Now(), TimePoint::FromNanos(2000));
+  EXPECT_EQ(core.items_done(), 2u);
 }
 
 TEST(CpuCoreTest, ZeroCostWorkCompletesAtCurrentInstant) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -284,6 +287,99 @@ TEST(EventQueueTest, MillionEventStress) {
   }
   EXPECT_EQ(fired, scheduled - canceled);
   EXPECT_EQ(queue.size(), 0u);
+}
+
+// The TCP retransmit-timer pattern: every advancing ack cancels a timer
+// ~200 ms out and re-arms it, while short events keep firing. Lazily
+// deleted records would surface only when their far-off time came due, so
+// without compaction the heap grows by one record per re-arm (~100k here)
+// around ~20 live events.
+TEST(EventQueueTest, RearmChurnKeepsHeapNearLiveCount) {
+  EventQueue queue;
+  constexpr int kShortEvents = 19;
+  int64_t now_us = 0;
+  uint64_t fired = 0;
+  for (int i = 0; i < kShortEvents; ++i) {
+    queue.Push(At(i + 1), [&fired] { ++fired; });
+  }
+  EventId rto = queue.Push(At(200'000), [] { FAIL() << "re-armed timer fired"; });
+  size_t max_records = 0;
+  for (int i = 0; i < 100'000; ++i) {
+    ASSERT_TRUE(queue.Cancel(rto));
+    ASSERT_LE(queue.heap_records(), 2 * queue.size() + 64);
+    rto = queue.Push(At(now_us + 200'000), [] { FAIL() << "re-armed timer fired"; });
+    auto entry = queue.Pop();
+    ASSERT_LT(entry.when, At(now_us + 200'000));  // Always a short event.
+    now_us = entry.when.nanos() / 1000;
+    entry.cb();
+    queue.Push(At(now_us + kShortEvents), [&fired] { ++fired; });
+    ASSERT_EQ(queue.size(), static_cast<size_t>(kShortEvents) + 1);
+    ASSERT_LE(queue.heap_records(), 2 * queue.size() + 64);
+    max_records = std::max(max_records, queue.heap_records());
+  }
+  EXPECT_EQ(fired, 100'000u);
+  EXPECT_LE(max_records, 2u * (kShortEvents + 1) + 64);
+}
+
+// Compaction rebuilds the heap, which must not change what pops next:
+// (when, seq) is a strict total order, so the queue must pop exactly the
+// sequence a reference ordered set of (when, push order) gives, across a
+// random schedule/cancel/pop mix that compacts many times. A third of the
+// pushes are far-off timers, whose canceled records never surface on their
+// own, so stale records pile up as they do under TCP timer churn.
+TEST(EventQueueTest, CompactionPreservesPopOrder) {
+  EventQueue queue;
+  uint64_t rng = 0x2545F4914F6CDD1Dull;
+  auto next_rand = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return rng;
+  };
+  // Reference model: (when, push index) -> id of every live event.
+  std::map<std::pair<int64_t, uint64_t>, EventId> model;
+  uint64_t pushes = 0;
+  uint64_t fired_index = 0;
+  int64_t now = 0;
+  int compactions = 0;
+  for (int step = 0; step < 100'000; ++step) {
+    const uint64_t r = next_rand() % 10;
+    if (model.empty() || (r < 6 && model.size() < 100)) {
+      // Few distinct short times, so same-instant ties are common.
+      const int64_t when = next_rand() % 3 == 0 ? now + 100'000 + next_rand() % 1000
+                                                : now + static_cast<int64_t>(next_rand() % 50);
+      const uint64_t index = pushes++;
+      const EventId id = queue.Push(At(when), [&fired_index, index] { fired_index = index; });
+      model.emplace(std::make_pair(when, index), id);
+    } else if (r < 8) {
+      const auto victim = std::next(model.begin(), static_cast<long>(next_rand() % model.size()));
+      const size_t before = queue.heap_records();
+      ASSERT_TRUE(queue.Cancel(victim->second));
+      ASSERT_FALSE(queue.Cancel(victim->second));
+      model.erase(victim);
+      if (queue.heap_records() < before) {
+        ++compactions;
+        ASSERT_EQ(queue.heap_records(), queue.size());
+      }
+    } else {
+      const auto expected = model.begin();
+      ASSERT_EQ(queue.NextTime(), At(expected->first.first));
+      auto entry = queue.Pop();
+      ASSERT_EQ(entry.id, expected->second);
+      entry.cb();
+      ASSERT_EQ(fired_index, expected->first.second);
+      now = expected->first.first;
+      model.erase(expected);
+    }
+    ASSERT_EQ(queue.size(), model.size());
+    ASSERT_LE(queue.heap_records(), 2 * queue.size() + 64);
+  }
+  EXPECT_GE(compactions, 100) << "the mix must cross many compactions";
+  while (!model.empty()) {
+    ASSERT_EQ(queue.Pop().id, model.begin()->second);
+    model.erase(model.begin());
+  }
+  EXPECT_TRUE(queue.Empty());
 }
 
 }  // namespace

@@ -66,18 +66,25 @@ TEST(ByteStreamQueueTest, ConsumeToAbsoluteOffset) {
   EXPECT_EQ(queue.head_offset(), 1300u);
 }
 
-TEST(ByteStreamQueueTest, BoundariesInSelectsHalfOpenRange) {
+TEST(ByteStreamQueueTest, FirstBoundaryAfterSkipsEndsAtOrBeforeOffset) {
   ByteStreamQueue queue;
   queue.Append(100);
   queue.AddBoundary(10, Rec(1));
   queue.AddBoundary(20, Rec(2));
   queue.AddBoundary(30, Rec(3));
-  // (start, end] semantics: boundary at `start` excluded, at `end` included.
-  auto in = queue.BoundariesIn(10, 30);
-  ASSERT_EQ(in.size(), 2u);
-  EXPECT_EQ(in[0].record.id, 2u);
-  EXPECT_EQ(in[1].record.id, 3u);
-  EXPECT_TRUE(queue.BoundariesIn(30, 100).empty());
+  // A segment starting at `offset` carries boundaries ending in
+  // (offset, ...]: one ending exactly at the offset belongs to the
+  // previous segment.
+  EXPECT_EQ(queue.FirstBoundaryAfter(0), 0u);
+  EXPECT_EQ(queue.FirstBoundaryAfter(9), 0u);
+  EXPECT_EQ(queue.FirstBoundaryAfter(10), 1u);
+  EXPECT_EQ(queue.FirstBoundaryAfter(25), 2u);
+  EXPECT_EQ(queue.FirstBoundaryAfter(30), queue.boundary_count());
+  EXPECT_EQ(queue.boundary(queue.FirstBoundaryAfter(10)).record.id, 2u);
+  // Consuming from the head shifts the indices.
+  queue.ConsumeTo(15);
+  EXPECT_EQ(queue.boundary(0).record.id, 2u);
+  EXPECT_EQ(queue.FirstBoundaryAfter(20), 1u);
 }
 
 TEST(ByteStreamQueueTest, RecordsCarrySharedPayloads) {
