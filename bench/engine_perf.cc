@@ -458,8 +458,8 @@ ShardPoint RunShardPoint(bool smoke, int clients, int shards) {
 // Connection-memory section: resident-set growth while building a star
 // fabric and then connecting every client — the per-connection engine
 // footprint (host + NIC + links + switch port, then the two endpoints with
-// their packed estimators and arena/pool-backed state) that bounds how many
-// connections fit in a 1M-connection cell.
+// their packed estimators) that bounds how many connections fit in a
+// 1M-connection cell.
 uint64_t CurrentRssBytes() {
 #ifdef __linux__
   FILE* f = std::fopen("/proc/self/statm", "r");
@@ -491,9 +491,9 @@ struct MemoryPoint {
 // Per-connection memory budget. Far above it (at ~175 KB/connection) the
 // 100k-connection shard curve is OOM-killed on a 16 GB runner, so the
 // memory phase aborts with a message first. Empty per-component FIFOs
-// allocate nothing (src/sim/ring.h), which put a lean connection near
-// 8 KB; the bound leaves headroom for allocator and page granularity.
-constexpr double kMaxBytesPerConnection = 12 * 1024;
+// allocate nothing (src/sim/ring.h) and domain queues grow on demand in
+// plain vectors, which put a lean connection near 7.5 KB.
+constexpr double kMaxBytesPerConnection = 8 * 1024;
 
 MemoryPoint MeasureConnectionMemory(bool smoke) {
   MemoryPoint point;
@@ -538,8 +538,8 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "invalid %s\n", argv[i]);
         return 1;
       }
-    } else {
-      json_path = argv[i];
+    } else if (!AcceptJsonPath(argv[i], &json_path)) {
+      return 1;
     }
   }
 
@@ -561,8 +561,8 @@ int Main(int argc, char** argv) {
   double pop_speedup = legacy_pop_ns / slot_pop_ns;
   double cancel_speedup = legacy_cancel_ns / slot_cancel_ns;
   // CI gates on these ratios (perf-smoke: pop >= 1.0, cancel >= 1.3; the
-  // arena-backed 4-ary store trades some of the old cancel headroom for
-  // making the dominant schedule/pop path at least match the legacy heap).
+  // 4-ary store trades some of the old cancel headroom for making the
+  // dominant schedule/pop path at least match the legacy heap).
   // Ratios absorb machine speed but not scheduler noise bursts, so a
   // below-gate ratio earns exactly one re-measurement; the better ratio is
   // kept and the retry is recorded in the JSON.

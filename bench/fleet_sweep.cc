@@ -133,8 +133,8 @@ int Main(int argc, char** argv) {
       trace_path = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
       series_path = argv[i] + 9;
-    } else {
-      json_path = argv[i];
+    } else if (!AcceptJsonPath(argv[i], &json_path)) {
+      return 1;
     }
   }
 

@@ -192,8 +192,8 @@ int Main(int argc, char** argv) {
         std::fprintf(stderr, "invalid %s\n", argv[i]);
         return 1;
       }
-    } else {
-      json_path = argv[i];
+    } else if (!AcceptJsonPath(argv[i], &json_path)) {
+      return 1;
     }
   }
 

@@ -19,8 +19,8 @@
 //     causing zero health demotions (the health chain's metadata feed rides
 //     the clean forward path and must not be shaken by reverse-only loss).
 //
-// Usage: robustness_sweep [--smoke] [--jobs=N] [--shards=N] [--trace=trace.json]
-//                         [--series=out.csv] [out.json]
+// Usage: robustness_sweep [--smoke] [--jobs=N] [--trace=trace.json] [--series=out.csv]
+//                         [out.json]
 //   --smoke   short windows (CI); also runs the first cell twice and aborts
 //             on any divergence.
 //   --jobs=N  run the independent cells on N worker threads (0 = all cores).
@@ -89,9 +89,8 @@ const char* ScenarioName(Scenario s) {
   return "?";
 }
 
-RobustnessConfig MakeConfig(Scenario scenario, bool fallback, bool smoke, int shards) {
+RobustnessConfig MakeConfig(Scenario scenario, bool fallback, bool smoke) {
   RobustnessConfig config;
-  config.topology.shards = shards;  // Inert on the two-host (kDirect) cell.
   config.seed = kSeed;
   config.fallback_enabled = fallback;
   config.rate_rps = 20000;
@@ -230,7 +229,6 @@ void CheckDeterminism(const RobustnessConfig& config) {
 int Main(int argc, char** argv) {
   bool smoke = false;
   int jobs = 1;
-  int shards = 0;
   const char* json_path = nullptr;
   const char* trace_path = nullptr;
   const char* series_path = nullptr;
@@ -238,8 +236,7 @@ int Main(int argc, char** argv) {
     bool flag_ok = true;
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &flag_ok) ||
-               ParseShardsFlag(argv[i], &shards, &flag_ok)) {
+    } else if (ParseJobsFlag(argv[i], &jobs, &flag_ok)) {
       if (!flag_ok) {
         std::fprintf(stderr, "invalid %s\n", argv[i]);
         return 1;
@@ -248,8 +245,8 @@ int Main(int argc, char** argv) {
       trace_path = argv[i] + 8;
     } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
       series_path = argv[i] + 9;
-    } else {
-      json_path = argv[i];
+    } else if (!AcceptJsonPath(argv[i], &json_path)) {
+      return 1;
     }
   }
 
@@ -263,7 +260,7 @@ int Main(int argc, char** argv) {
                                     Scenario::kCrash, Scenario::kMixed, Scenario::kAckStorm};
 
   if (smoke) {
-    CheckDeterminism(MakeConfig(Scenario::kMetaWithhold, /*fallback=*/true, smoke, shards));
+    CheckDeterminism(MakeConfig(Scenario::kMetaWithhold, /*fallback=*/true, smoke));
   }
 
   // Build the cell grid up front: each cell is an independent deterministic
@@ -303,7 +300,7 @@ int Main(int argc, char** argv) {
       cells.size(),
       [&](size_t i) {
         Cell& cell = cells[i];
-        RobustnessConfig config = MakeConfig(cell.scenario, cell.fallback, smoke, shards);
+        RobustnessConfig config = MakeConfig(cell.scenario, cell.fallback, smoke);
         const bool observed_cell = is_observed(cell);
         if (observed_cell && series_path != nullptr) {
           config.series_interval = Duration::Millis(1);

@@ -5,11 +5,6 @@
 
 namespace e2e {
 
-LinkSchedule& LinkSchedule::Merge(const LinkSchedule& other) {
-  steps.insert(steps.end(), other.steps.begin(), other.steps.end());
-  return *this;
-}
-
 LinkSchedule LinkSchedule::Step(LinkScheduleStep target) {
   LinkSchedule schedule;
   schedule.steps.push_back(target);

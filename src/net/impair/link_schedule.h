@@ -42,10 +42,6 @@ struct LinkSchedule {
     return *this;
   }
 
-  // Appends another schedule's steps (they need not be sorted; the scheduler
-  // orders them at Start()).
-  LinkSchedule& Merge(const LinkSchedule& other);
-
   // A single step to `target` at `target.at`.
   static LinkSchedule Step(LinkScheduleStep target);
 

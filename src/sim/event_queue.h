@@ -30,12 +30,6 @@
 // is a strict total order (seq is unique), so pop order is identical to any
 // other correct heap — arity is invisible to determinism.
 //
-// Storage lives behind std::pmr: a queue can be bound to an arena
-// (ArenaMemoryResource in src/sim/arena.h) so a simulator domain's slots,
-// heap records, and freelist occupy domain-owned chunks instead of the
-// global heap. The default constructor uses the default pmr resource and
-// behaves exactly as before.
-//
 // Complexity (n = live + stale heap records, n <= 2 x live + 64):
 //   Push      O(log n); allocation-free once vectors reach steady capacity.
 //   Cancel    O(1) amortized; a compaction over r records follows at least
@@ -49,7 +43,6 @@
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <memory_resource>
 #include <vector>
 
 #include "src/sim/callback.h"
@@ -78,15 +71,6 @@ inline constexpr EventId kInvalidEventId{};
 class EventQueue {
  public:
   using Callback = InlineCallback;
-
-  // Default: storage on the default pmr resource (the global heap).
-  EventQueue() : EventQueue(std::pmr::get_default_resource()) {}
-
-  // Storage (slots, heap records, freelist) allocated from `mr`. The
-  // resource must outlive the queue; the queue never deallocates piecemeal,
-  // so a bump arena is the intended resource.
-  explicit EventQueue(std::pmr::memory_resource* mr)
-      : heap_(mr), slots_(mr), free_slots_(mr) {}
 
   // Schedules `cb` to fire at `when`. Returns an id usable with Cancel().
   EventId Push(TimePoint when, Callback cb);
@@ -180,9 +164,9 @@ class EventQueue {
   void SiftHoleDown(size_t index, HeapItem item);
   void RemoveTop();
 
-  std::pmr::vector<HeapItem> heap_;  // 4-ary implicit min-heap, root at 0.
-  std::pmr::vector<Slot> slots_;
-  std::pmr::vector<uint32_t> free_slots_;
+  std::vector<HeapItem> heap_;  // 4-ary implicit min-heap, root at 0.
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
   size_t live_ = 0;
   uint64_t max_live_ = 0;
   uint64_t next_seq_ = 0;

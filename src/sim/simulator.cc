@@ -20,13 +20,8 @@ namespace {
 constexpr int kBarrierSpins = 1024;
 }  // namespace
 
-Simulator::Domain::Domain(uint32_t id_in)
-    : id(id_in),
-      arena(std::make_unique<ArenaMemoryResource>()),
-      queue(arena.get()),
-      outbox(arena.get()) {}
+Simulator::Domain::Domain(uint32_t id_in) : id(id_in) {}
 Simulator::Domain::~Domain() = default;
-Simulator::Domain::Domain(Domain&&) noexcept = default;
 
 Simulator::Simulator() {
   domains_.emplace_back(0);

@@ -42,12 +42,10 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <memory_resource>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "src/sim/arena.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/time.h"
 
@@ -191,27 +189,18 @@ class Simulator {
 
   // One shard: its own clock, event queue, outbox, and trace recorder.
   // Padded to a cache line so workers on distinct domains never false-share.
-  // The arena backs the queue's slot store and the outbox, so a domain's
-  // hot-path allocations stay in chunks only its owning worker touches;
-  // declaration order matters (arena must outlive — i.e. precede — both).
   struct alignas(64) Domain {
     explicit Domain(uint32_t id_in);  // Out of line: TraceRecorder is incomplete here.
     ~Domain();
-    Domain(Domain&&) noexcept;
-    // No move assignment: the pmr members would keep the destination's
-    // arena, silently mixing two domains' storage. Domains are only ever
-    // emplaced into the deque.
-    Domain& operator=(Domain&&) = delete;
     uint32_t id;
     TimePoint now;
-    std::unique_ptr<ArenaMemoryResource> arena;
     EventQueue queue;
     uint64_t events_fired = 0;
     uint64_t next_cross_seq = 0;
     // Last FlushMailboxes round that re-armed this domain's lane entry;
     // dedupes lane pushes when one barrier delivers many messages here.
     uint64_t flush_stamp = 0;
-    std::pmr::vector<CrossMsg> outbox;
+    std::vector<CrossMsg> outbox;
     std::unique_ptr<TraceRecorder> trace;
   };
 

@@ -142,30 +142,6 @@ CounterRegistry::Values CounterCollector::RegistryWindow(TimePoint from, TimePoi
                                 samples_[window->second].registry);
 }
 
-TimeSeries CounterCollector::RegistrySeries() const {
-  TimeSeries series;
-  if (registry_ == nullptr) {
-    return series;
-  }
-  for (size_t i = 0; i < registry_->num_entities(); ++i) {
-    for (const std::string& counter : registry_->counter_names(i)) {
-      series.columns.push_back(registry_->entity_name(i) + "." + counter);
-    }
-  }
-  for (const Sample& sample : samples_) {
-    series.times.push_back(sample.time);
-    std::vector<double> row;
-    row.reserve(series.columns.size());
-    for (const std::vector<uint64_t>& entity : sample.registry) {
-      for (const uint64_t value : entity) {
-        row.push_back(static_cast<double>(value));
-      }
-    }
-    series.rows.push_back(std::move(row));
-  }
-  return series;
-}
-
 std::vector<std::pair<TimePoint, E2eEstimate>> CounterCollector::EstimateSeries(
     UnitMode mode) const {
   std::vector<std::pair<TimePoint, E2eEstimate>> series;

@@ -19,7 +19,6 @@
 #include "src/sim/simulator.h"
 #include "src/tcp/endpoint.h"
 #include "src/obs/registry.h"
-#include "src/obs/timeseries.h"
 
 namespace e2e {
 
@@ -85,13 +84,6 @@ class CounterCollector {
   // marks) subtract like any other; read them from the raw samples instead.
   CounterRegistry::Values RegistryWindow(TimePoint from, TimePoint to) const;
   const CounterRegistry* registry() const { return registry_; }
-
-  // The attached registry's raw samples reshaped into the shared
-  // TimeSeries export object ("<entity>.<counter>" columns, same clock as
-  // samples(); see DESIGN.md §11) — so collector data exports through the
-  // same CSV/JSON path as TimeSeriesSampler instead of an ad-hoc format.
-  // Empty when no registry is attached.
-  TimeSeries RegistrySeries() const;
 
  private:
   void TakeSample();

@@ -22,12 +22,6 @@ FabricConfig FabricConfig::Star(int clients, int servers) {
   return config;
 }
 
-FabricConfig FabricConfig::Incast(int clients, size_t server_buffer_bytes) {
-  FabricConfig config = Star(clients, 1);
-  config.server_port.buffer_bytes = server_buffer_bytes;
-  return config;
-}
-
 FabricConfig FabricConfig::Dumbbell(int clients, int servers, double trunk_bps) {
   FabricConfig config;
   config.shape = FabricShape::kDumbbell;

@@ -167,9 +167,6 @@ struct FabricConfig {
 
   // N clients and M servers on one switch.
   static FabricConfig Star(int clients, int servers = 1);
-  // A star tuned to the incast regime: many clients, one server whose
-  // downlink port buffer is `server_buffer_bytes` (the overflow point).
-  static FabricConfig Incast(int clients, size_t server_buffer_bytes);
   // Clients and servers on separate switches, trunk at `trunk_bps`.
   static FabricConfig Dumbbell(int clients, int servers, double trunk_bps);
   // 2-tier Clos: hosts round-robin over `leaves` racks, every leaf linked

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <condition_variable>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -101,6 +102,15 @@ bool ParseShardsFlag(const char* arg, int* shards, bool* ok) {
   }
   *shards = static_cast<int>(parsed);
   *ok = true;
+  return true;
+}
+
+bool AcceptJsonPath(const char* arg, const char** json_path) {
+  if (std::strncmp(arg, "--", 2) == 0) {
+    std::fprintf(stderr, "invalid %s\n", arg);
+    return false;
+  }
+  *json_path = arg;
   return true;
 }
 

@@ -61,6 +61,13 @@ bool ParseJobsFlag(const char* arg, int* jobs, bool* ok);
 // byte-identical for every N >= 1 (ctest label `shard` compares them).
 bool ParseShardsFlag(const char* arg, int* shards, bool* ok);
 
+// The last branch of a sweep's argv loop: takes `arg` as the positional
+// JSON output path and returns true. An argument that starts with "--" is
+// a flag the binary does not know; it prints "invalid <arg>" to stderr,
+// leaves *json_path untouched and returns false (callers exit 1), so a
+// typo or an unsupported flag never becomes an output file name.
+bool AcceptJsonPath(const char* arg, const char** json_path);
+
 }  // namespace e2e
 
 #endif  // SRC_TESTBED_SWEEP_EXECUTOR_H_

@@ -37,10 +37,6 @@ struct TopologyConfig {
   ImpairmentConfig c2s_impairment;
   ImpairmentConfig s2c_impairment;
   uint64_t seed = 42;
-  // Passed through to FabricConfig::shards. kDirect stays single-domain by
-  // definition, so this is accepted-and-inert here — drivers expose the
-  // flag uniformly and switched topologies act on it.
-  int shards = 0;
 
   TopologyConfig() {
     link.bandwidth_bps = 100e9;  // 100 Gbps ConnectX-5 class.
@@ -61,7 +57,6 @@ struct TopologyConfig {
     fabric.c2s_impairment = c2s_impairment;
     fabric.s2c_impairment = s2c_impairment;
     fabric.seed = seed;
-    fabric.shards = shards;
     return fabric;
   }
 };

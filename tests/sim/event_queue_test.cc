@@ -10,8 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/arena.h"
-
 namespace e2e {
 namespace {
 
@@ -191,41 +189,6 @@ TEST(EventQueueTest, MaxLiveTracksHighWaterOccupancy) {
   EXPECT_EQ(queue.max_live(), 5u);  // 3 live + 2 pushed = 5, no new peak.
   queue.Push(At(12), [] {});
   EXPECT_EQ(queue.max_live(), 6u);
-}
-
-TEST(EventQueueTest, ArenaBackedQueueMatchesDefaultResourceOrder) {
-  // The pmr plumbing must be invisible to ordering: an arena-backed queue
-  // (growing through several chunk generations) pops the same sequence as
-  // a default-resource queue under an interleaved push/cancel/pop load.
-  ArenaMemoryResource arena(/*first_chunk_bytes=*/64);
-  EventQueue on_arena(&arena);
-  EventQueue on_heap;
-  std::vector<int> fired_arena;
-  std::vector<int> fired_heap;
-  auto drive = [](EventQueue& queue, std::vector<int>& fired) {
-    std::vector<EventId> cancelable;
-    for (int i = 0; i < 2000; ++i) {
-      const int64_t when = (i * 37) % 211;
-      const EventId id = queue.Push(At(when), [&fired, i] { fired.push_back(i); });
-      if (i % 5 == 0) {
-        cancelable.push_back(id);
-      }
-      if (i % 7 == 0 && !queue.Empty()) {
-        queue.Pop().cb();
-      }
-    }
-    for (const EventId& id : cancelable) {
-      queue.Cancel(id);
-    }
-    while (!queue.Empty()) {
-      queue.Pop().cb();
-    }
-  };
-  drive(on_arena, fired_arena);
-  drive(on_heap, fired_heap);
-  EXPECT_EQ(fired_arena, fired_heap);
-  EXPECT_GT(arena.bytes_allocated(), 0u);
-  EXPECT_EQ(on_arena.max_live(), on_heap.max_live());
 }
 
 TEST(EventQueueTest, MoveOnlyCallbackCapture) {

@@ -1,7 +1,8 @@
 // Invariants of the pluggable congestion-control algorithms (DESIGN.md
 // §13): the CUBIC curve's shape around W_max, DCTCP's alpha EWMA
 // convergence and proportional decrease, the RFC 5681 §3.1 RTO collapse
-// shared by all three, and the once-per-RTT ECN reaction gating.
+// shared by all three, and the once-per-RTT ECN reaction gating of Reno and
+// CUBIC.
 
 #include <gtest/gtest.h>
 
@@ -308,6 +309,66 @@ TEST(RenoControl, RttSampleSetsTheReactionWindow) {
   cc.OnEcnEcho(1000, now + Duration::Micros(150));
   EXPECT_EQ(cc.cwnd_bytes(), after_first);
   EXPECT_EQ(cc.decrease_events(), 1u);
+}
+
+TEST(CubicControl, EcnEchoCutsByBetaLikeADupAckLoss) {
+  CubicCongestionControl by_echo(Cfg(CcAlgorithm::kCubic));
+  CubicCongestionControl by_loss(Cfg(CcAlgorithm::kCubic));
+  TimePoint now = TimePoint::Zero();
+  for (int i = 0; i < 4; ++i) {
+    now = now + Duration::Micros(100);
+    by_echo.OnAck(by_echo.cwnd_bytes(), now);
+    by_loss.OnAck(by_loss.cwnd_bytes(), now);
+  }
+  const uint64_t before = by_echo.cwnd_bytes();
+  ASSERT_EQ(by_loss.cwnd_bytes(), before);
+
+  by_echo.OnEcnEcho(1000, now);
+  by_loss.OnDupAckThreshold();
+  EXPECT_NEAR(static_cast<double>(by_echo.cwnd_bytes()), 0.7 * static_cast<double>(before), 1.0);
+  EXPECT_EQ(by_echo.cwnd_bytes(), by_loss.cwnd_bytes());
+  EXPECT_EQ(by_echo.ssthresh(), by_loss.ssthresh());
+  EXPECT_DOUBLE_EQ(by_echo.w_max_segments(), by_loss.w_max_segments());
+  EXPECT_FALSE(by_echo.epoch_started());
+  EXPECT_EQ(by_echo.decrease_events(), 1u);
+  EXPECT_EQ(by_echo.state(now), CcState::kCwr);
+}
+
+TEST(CubicControl, EcnEchoReactsOncePerRtt) {
+  CubicCongestionControl cc(Cfg(CcAlgorithm::kCubic));
+  TimePoint now = TimePoint::FromNanos(1);
+  cc.OnAck(30000, now);
+  cc.OnEcnEcho(1000, now);
+  const uint64_t cwnd = cc.cwnd_bytes();
+  const uint64_t ssthresh = cc.ssthresh();
+  const double w_max = cc.w_max_segments();
+
+  // Inside the reaction window (fallback RTT = 100 us): the same event.
+  cc.OnEcnEcho(1000, now + Duration::Micros(50));
+  EXPECT_EQ(cc.cwnd_bytes(), cwnd);
+  EXPECT_EQ(cc.ssthresh(), ssthresh);
+  EXPECT_DOUBLE_EQ(cc.w_max_segments(), w_max);
+  EXPECT_EQ(cc.decrease_events(), 1u);
+
+  // Past it, a new echo is a new event.
+  cc.OnEcnEcho(1000, now + Duration::Micros(150));
+  EXPECT_LT(cc.cwnd_bytes(), cwnd);
+  EXPECT_EQ(cc.decrease_events(), 2u);
+}
+
+TEST(CubicControl, EcnEchoIgnoredWhenDisabled) {
+  CcConfig config = Cfg(CcAlgorithm::kCubic);
+  config.enabled = false;
+  CubicCongestionControl cc(config);
+  const uint64_t cwnd = cc.cwnd_bytes();
+  const uint64_t ssthresh = cc.ssthresh();
+  const TimePoint now = TimePoint::FromNanos(1);
+  cc.OnEcnEcho(1000, now);
+  EXPECT_EQ(cc.cwnd_bytes(), cwnd);
+  EXPECT_EQ(cc.ssthresh(), ssthresh);
+  EXPECT_DOUBLE_EQ(cc.w_max_segments(), 0.0);
+  EXPECT_EQ(cc.decrease_events(), 0u);
+  EXPECT_EQ(cc.state(now), CcState::kSlowStart);
 }
 
 TEST(CcState, ReportsSlowStartAvoidanceAndCwr) {

@@ -53,6 +53,26 @@ TEST(ParseJobsFlagTest, RejectsMalformedValues) {
   EXPECT_FALSE(ParseJobsFlag("--smoke", &jobs, &ok));
 }
 
+TEST(AcceptJsonPathTest, TakesPositionalPathsAndRejectsUnknownFlags) {
+  const char* json_path = nullptr;
+  EXPECT_TRUE(AcceptJsonPath("out.json", &json_path));
+  EXPECT_STREQ(json_path, "out.json");
+  // A single dash is a path, not a flag.
+  EXPECT_TRUE(AcceptJsonPath("-", &json_path));
+  EXPECT_STREQ(json_path, "-");
+
+  // A flag the binary did not match must not become the output file.
+  json_path = "kept.json";
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(AcceptJsonPath("--trace=t.json", &json_path));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "invalid --trace=t.json\n");
+  EXPECT_STREQ(json_path, "kept.json");
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(AcceptJsonPath("--", &json_path));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "invalid --\n");
+  EXPECT_STREQ(json_path, "kept.json");
+}
+
 TEST(SweepExecutorTest, CommitsInIndexOrderOnCallerThread) {
   const std::thread::id caller = std::this_thread::get_id();
   constexpr size_t kCells = 64;
