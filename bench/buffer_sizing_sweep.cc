@@ -28,7 +28,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "src/testbed/fleet.h"
 #include "src/testbed/report.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
@@ -143,107 +143,22 @@ FleetExperimentConfig MakeFleetConfig(CcAlgorithm algorithm, bool nagle_on, bool
   return config;
 }
 
-// Same-seed runs must agree bit-for-bit; drift means a component broke the
-// keyed-seed contract (fabric_topology.h) or the cc layer read a wall clock.
-void CheckDeterminism(const BufferSizingConfig& config) {
-  const BufferSizingResult a = RunBufferSizing(config);
-  const BufferSizingResult b = RunBufferSizing(config);
-  const bool same = a.aggregate_goodput_bps == b.aggregate_goodput_bps &&
-                    a.mean_queue_bytes == b.mean_queue_bytes &&
-                    a.p99_queue_bytes == b.p99_queue_bytes &&
-                    a.drops == b.drops && a.ecn_marked == b.ecn_marked &&
-                    a.retransmits == b.retransmits &&
-                    a.ece_received == b.ece_received && a.cwr_sent == b.cwr_sent &&
-                    a.cc_decreases == b.cc_decreases &&
-                    a.mean_cwnd_bytes == b.mean_cwnd_bytes;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed buffer-sizing runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed runs identical\n");
-}
-
-// Re-runs `config` with per-port queue gauges sampled into a time series
-// (satellite of the fabric observability layer). Separate run so sampling
-// can never perturb the sweep's own numbers.
-bool WriteSeries(const BufferSizingConfig& config, const char* path) {
-  FabricConfig fabric;
-  if (config.shape == FabricShape::kDumbbell) {
-    fabric = FabricConfig::Dumbbell(config.num_flows, 1, config.bottleneck_bps);
-    fabric.trunk_link.propagation = config.trunk_propagation;
-    fabric.trunk_port.buffer_bytes = config.buffer_bytes;
-    fabric.trunk_port.ecn_threshold_bytes = config.ecn_threshold_bytes;
-  } else if (config.shape == FabricShape::kLeafSpine) {
-    fabric = FabricConfig::LeafSpine(config.num_flows, 1, /*leaves=*/2, config.num_spines,
-                                     config.bottleneck_bps);
-    fabric.trunk_link.propagation = config.trunk_propagation;
-    fabric.trunk_port.buffer_bytes = config.buffer_bytes;
-    fabric.trunk_port.ecn_threshold_bytes = config.ecn_threshold_bytes;
-  } else {
-    fabric = FabricConfig::Star(config.num_flows, 1);
-    fabric.server_port.buffer_bytes = config.buffer_bytes;
-    fabric.server_port.ecn_threshold_bytes = config.ecn_threshold_bytes;
-  }
-  fabric.seed = config.seed;
-  fabric.shards = config.shards;
-  FabricTopology topo(fabric);
-
-  TcpConfig tcp;
-  tcp.nodelay = true;
-  tcp.sndbuf_bytes = config.sndbuf_bytes;
-  tcp.rcvbuf_bytes = config.rcvbuf_bytes;
-  tcp.e2e_exchange_interval = Duration::Zero();
-  tcp.cc.algorithm = config.algorithm;
-  tcp.cc.ecn = config.ecn;
-  tcp.rtt.initial_rto = Duration::Millis(10);  // Match RunBufferSizing.
-  tcp.rtt.min_rto = Duration::Millis(1);
-
-  std::vector<ConnectedPair> conns(static_cast<size_t>(config.num_flows));
-  for (int i = 0; i < config.num_flows; ++i) {
-    conns[i] = topo.Connect(i, 0, static_cast<uint64_t>(i + 1), tcp, tcp);
-    TcpEndpoint* src = conns[i].a;
-    TcpEndpoint* dst = conns[i].b;
-    dst->SetReadableCallback([dst] { dst->Recv(); });
-    auto pump = [src, chunk = config.chunk_bytes] {
-      while (src->Send(chunk, MessageRecord{})) {
-      }
-    };
-    src->SetWritableCallback(pump);
-    // Match RunBufferSizing: the initial fill runs in the client's shard.
-    DomainScope in_client(&topo.sim(), topo.client_host(i).domain());
-    topo.sim().Schedule(Duration::Zero(), pump);
-  }
-
-  TimeSeriesSampler sampler(&topo.sim(), config.sample_interval);
-  topo.ExportQueueGauges(&sampler);
-  const TimePoint end = topo.sim().Now() + config.warmup + config.measure;
-  sampler.Start(end);
-  topo.sim().RunUntil(end);
-  return sampler.TakeSeries().WriteFile(path);
+bool SameBufferSizingRun(const BufferSizingResult& a, const BufferSizingResult& b) {
+  return a.aggregate_goodput_bps == b.aggregate_goodput_bps &&
+         a.mean_queue_bytes == b.mean_queue_bytes && a.p99_queue_bytes == b.p99_queue_bytes &&
+         a.drops == b.drops && a.ecn_marked == b.ecn_marked && a.retransmits == b.retransmits &&
+         a.ece_received == b.ece_received && a.cwr_sent == b.cwr_sent &&
+         a.cc_decreases == b.cc_decreases && a.mean_cwnd_bytes == b.mean_cwnd_bytes;
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  int jobs = 1;
-  int shards = 0;
-  const char* json_path = nullptr;
-  const char* series_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool flag_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &flag_ok) ||
-               ParseShardsFlag(argv[i], &shards, &flag_ok)) {
-      if (!flag_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
-      series_path = argv[i] + 9;
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepShards | kSweepSeries,
+                      &args)) {
+    return 1;
   }
+  const bool smoke = args.smoke;
+  const int shards = args.shards;
 
   PrintBanner("Buffer sizing: rule x congestion control x flows (cc subsystem)");
 
@@ -274,12 +189,13 @@ int Main(int argc, char** argv) {
   }
 
   if (smoke) {
-    CheckDeterminism(cells.front().config);
+    CheckSameSeed(cells.front().config, RunBufferSizing, SameBufferSizingRun,
+                  "buffer-sizing runs");
   }
 
   Table table({"scenario", "rule", "cc", "n", "buf_KB", "thru_Gbps", "util%", "qmean_KB",
                "qp99_us", "drops", "marks", "rtx", "cwr", "fair"});
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(args.jobs);
   executor.Run(
       cells.size(), [&](size_t i) { cells[i].result = RunBufferSizing(cells[i].config); },
       [&](size_t i) {
@@ -350,23 +266,21 @@ int Main(int argc, char** argv) {
       "backpressure shows up in the unacked queue the estimator already\n"
       "samples.\n\n");
 
-  if (series_path != nullptr) {
-    if (!WriteSeries(cells.front().config, series_path)) {
-      std::fprintf(stderr, "cannot write %s\n", series_path);
+  if (args.series_path != nullptr) {
+    // A same-seed re-run of the first cell with per-port queue gauges
+    // sampled, so the sampler's ticks never reach the sweep's own numbers.
+    BufferSizingConfig config = cells.front().config;
+    config.series_interval = config.sample_interval;
+    if (!WriteSeriesFile(RunBufferSizing(config).series, args.series_path)) {
       return 1;
     }
-    std::fprintf(stderr, "series: per-port queue gauges -> %s\n", series_path);
   }
 
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
+  const JsonOutputFile json_out(args.json_path);
+  if (json_out.get() == nullptr) {
+    return 1;
   }
-  JsonWriter json(json_out);
+  JsonWriter json(json_out.get());
   json.BeginObject();
   json.KV("bench", std::string("buffer_sizing_sweep"));
   json.KV("seed", kSeed);
@@ -416,12 +330,7 @@ int Main(int argc, char** argv) {
     json.KV("achieved_krps", r.achieved_krps, 2);
     json.KV("measured_mean_us", r.measured_mean_us, 2);
     json.KV("measured_p99_us", r.measured_p99_us, 2);
-    json.Key("fleet_est_bytes_us");
-    if (r.fleet_est_bytes_us.has_value()) {
-      json.Double(*r.fleet_est_bytes_us, 2);
-    } else {
-      json.Null();
-    }
+    json.KV("fleet_est_bytes_us", r.fleet_est_bytes_us, 2);
     json.KV("switch_tail_drops", r.switch_tail_drops);
     json.KV("switch_ecn_marked", r.switch_ecn_marked);
     json.KV("retransmits", r.retransmits);
@@ -430,9 +339,6 @@ int Main(int argc, char** argv) {
   json.EndArray();
   json.EndObject();
   json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
   return 0;
 }
 

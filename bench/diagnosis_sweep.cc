@@ -33,17 +33,16 @@
 // Observation is passive: stdout and out.json are byte-identical with and
 // without --trace/--series, and --jobs=N equals --jobs=1 (CI compares).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/obs/trace.h"
 #include "src/testbed/diagnosis/diagnosis.h"
 #include "src/testbed/report.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
@@ -133,61 +132,26 @@ DiagnosisFallbackConfig MakeAbConfig(const AbCell& cell, bool smoke) {
   return config;
 }
 
-void CheckValidationDeterminism(const DiagnosisValidationConfig& config) {
-  const DiagnosisValidationResult a = RunDiagnosisValidation(config);
-  const DiagnosisValidationResult b = RunDiagnosisValidation(config);
-  const bool same = a.epochs_compared == b.epochs_compared &&
-                    a.epochs_correct == b.epochs_correct &&
-                    a.aggregate_goodput_bps == b.aggregate_goodput_bps &&
-                    a.rtt_samples == b.rtt_samples &&
-                    a.diag_retransmits == b.diag_retransmits &&
-                    a.diag_ce_marked == b.diag_ce_marked;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed validation runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed validation runs identical\n");
+bool SameValidationRun(const DiagnosisValidationResult& a, const DiagnosisValidationResult& b) {
+  return a.epochs_compared == b.epochs_compared && a.epochs_correct == b.epochs_correct &&
+         a.aggregate_goodput_bps == b.aggregate_goodput_bps && a.rtt_samples == b.rtt_samples &&
+         a.diag_retransmits == b.diag_retransmits && a.diag_ce_marked == b.diag_ce_marked;
 }
 
-void CheckAbDeterminism(const DiagnosisFallbackConfig& config) {
-  const DiagnosisFallbackResult a = RunDiagnosisFallback(config);
-  const DiagnosisFallbackResult b = RunDiagnosisFallback(config);
-  const bool same = a.requests_completed == b.requests_completed &&
-                    a.measured_mean_us == b.measured_mean_us &&
-                    a.frozen_ticks == b.frozen_ticks &&
-                    a.static_in_withhold_ms == b.static_in_withhold_ms &&
-                    a.diag_in_withhold_ms == b.diag_in_withhold_ms &&
-                    a.health.demotions == b.health.demotions;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed fallback runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed fallback runs identical\n");
+bool SameFallbackRun(const DiagnosisFallbackResult& a, const DiagnosisFallbackResult& b) {
+  return a.requests_completed == b.requests_completed &&
+         a.measured_mean_us == b.measured_mean_us && a.frozen_ticks == b.frozen_ticks &&
+         a.static_in_withhold_ms == b.static_in_withhold_ms &&
+         a.diag_in_withhold_ms == b.diag_in_withhold_ms &&
+         a.health.demotions == b.health.demotions;
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  int jobs = 1;
-  const char* json_path = nullptr;
-  const char* trace_path = nullptr;
-  const char* series_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool jobs_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &jobs_ok)) {
-      if (!jobs_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
-      series_path = argv[i] + 9;
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries, &args)) {
+    return 1;
   }
+  const bool smoke = args.smoke;
 
   PrintBanner("Diagnosis sweep: in-switch classification vs ground truth + health A/B");
 
@@ -224,8 +188,10 @@ int Main(int argc, char** argv) {
   }
 
   if (smoke) {
-    CheckValidationDeterminism(MakeValidationConfig(vcells.front(), smoke));
-    CheckAbDeterminism(MakeAbConfig(abcells.front(), smoke));
+    CheckSameSeed(MakeValidationConfig(vcells.front(), smoke), RunDiagnosisValidation,
+                  SameValidationRun, "validation runs", "validation runs");
+    CheckSameSeed(MakeAbConfig(abcells.front(), smoke), RunDiagnosisFallback, SameFallbackRun,
+                  "fallback runs", "fallback runs");
   }
 
   // The network_bound/dumbbell/reno cell is the observability showcase: a
@@ -235,19 +201,15 @@ int Main(int argc, char** argv) {
     return cell.scenario == DiagScenario::kNetworkBound &&
            cell.shape == FabricShape::kDumbbell && cell.cc == CcAlgorithm::kReno;
   };
-  std::optional<TraceRecorder> recorder;
-  if (trace_path != nullptr) {
-    recorder.emplace(/*capacity=*/1 << 18);
-  }
+  SweepTrace trace(args.trace_path);
 
   Table vtable({"scenario", "fabric", "cc", "flows", "acc%", "epochs", "idle", "net%", "rcv%",
                 "snd%", "cwnd_err%", "rtt_err%", "rtt_n", "gbps"});
   Table abtable({"schedule", "diag", "kRPS", "meas_us", "frozen_ticks", "static_wh_ms",
                  "diag_wh_ms", "full_ms", "static_ms", "rescues", "dropouts"});
 
-  int commit_status = 0;
   const size_t total = vcells.size() + abcells.size();
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(args.jobs);
   executor.Run(
       total,
       [&](size_t i) {
@@ -255,10 +217,10 @@ int Main(int argc, char** argv) {
           ValidationCell& cell = vcells[i];
           DiagnosisValidationConfig config = MakeValidationConfig(cell, smoke);
           const bool observed_cell = is_observed(cell);
-          if (observed_cell && series_path != nullptr) {
+          if (observed_cell && args.series_path != nullptr) {
             config.series_interval = Duration::Millis(1);
           }
-          ScopedTrace bind(observed_cell && recorder.has_value() ? &*recorder : nullptr);
+          ScopedTrace bind(trace.For(observed_cell));
           cell.result = RunDiagnosisValidation(config);
         } else {
           AbCell& cell = abcells[i - vcells.size()];
@@ -269,12 +231,6 @@ int Main(int argc, char** argv) {
         if (i < vcells.size()) {
           ValidationCell& cell = vcells[i];
           const DiagnosisValidationResult& r = cell.result;
-          if (is_observed(cell) && series_path != nullptr && r.series != nullptr) {
-            if (!r.series->WriteFile(series_path)) {
-              std::fprintf(stderr, "cannot write %s\n", series_path);
-              commit_status = 1;
-            }
-          }
           if (r.epochs_compared < 20) {
             std::fprintf(stderr, "FATAL: %s/%s/%s compared only %llu epochs\n",
                          DiagScenarioName(cell.scenario), ShapeName(cell.shape),
@@ -331,8 +287,9 @@ int Main(int argc, char** argv) {
               .Int(static_cast<int64_t>(r.health.diag_dropouts));
         }
       });
-  if (commit_status != 0) {
-    return commit_status;
+  const ValidationCell& observed = *std::find_if(vcells.begin(), vcells.end(), is_observed);
+  if (args.series_path != nullptr && !WriteSeriesFile(observed.result.series, args.series_path)) {
+    return 1;
   }
   std::printf("\nvalidation: per-epoch diagnosis vs in-sim ground truth\n");
   vtable.Print();
@@ -370,26 +327,15 @@ int Main(int argc, char** argv) {
       "diag-assisted mode (local-only estimates keep flowing); without it the\n"
       "chain freezes on the static policy for the rest of each blackout.\n\n");
 
-  if (recorder.has_value()) {
-    if (!recorder->WriteChromeTraceFile(trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path);
-      return 1;
-    }
-    // stderr, not stdout: stdout must stay byte-identical without --trace.
-    std::fprintf(stderr, "trace: %llu events recorded (%llu overwritten) -> %s\n",
-                 static_cast<unsigned long long>(recorder->recorded()),
-                 static_cast<unsigned long long>(recorder->overwritten()), trace_path);
+  if (!trace.Write()) {
+    return 1;
   }
 
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
+  const JsonOutputFile json_out(args.json_path);
+  if (json_out.get() == nullptr) {
+    return 1;
   }
-  JsonWriter json(json_out);
+  JsonWriter json(json_out.get());
   json.BeginObject();
   json.KV("bench", std::string("diagnosis_sweep"));
   json.KV("seed", kSeed);
@@ -489,9 +435,6 @@ int Main(int argc, char** argv) {
   json.EndArray();
   json.EndObject();
   json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
   return 0;
 }
 

@@ -62,6 +62,7 @@
 #include "src/testbed/report.h"
 #include "src/testbed/robustness.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 #ifdef __linux__
 #include <unistd.h>
@@ -519,29 +520,17 @@ MemoryPoint MeasureConnectionMemory(bool smoke) {
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  int jobs = 4;
-  int shards = 4;
-  const char* json_path = "BENCH_engine.json";
-  for (int i = 1; i < argc; ++i) {
-    bool jobs_ok = true;
-    bool shards_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &jobs_ok)) {
-      if (!jobs_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (ParseShardsFlag(argv[i], &shards, &shards_ok)) {
-      if (!shards_ok || shards < 1) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  args.jobs = 4;
+  args.shards = 4;
+  args.min_shards = 1;
+  args.json_path = "BENCH_engine.json";
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepShards, &args)) {
+    return 1;
   }
+  const bool smoke = args.smoke;
+  const int jobs = args.jobs;
+  const int shards = args.shards;
 
   PrintBanner("Engine perf: event-queue hot path + sweep scaling");
   const unsigned hw = std::thread::hardware_concurrency();
@@ -743,12 +732,11 @@ int Main(int argc, char** argv) {
     }
   }
 
-  FILE* out = std::fopen(json_path, "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", json_path);
+  const JsonOutputFile out(args.json_path);
+  if (out.get() == nullptr) {
     return 1;
   }
-  JsonWriter json(out);
+  JsonWriter json(out.get());
   json.BeginObject();
   json.KV("bench", std::string("engine_perf"));
   json.KV("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
@@ -824,8 +812,7 @@ int Main(int argc, char** argv) {
   json.EndObject();
   json.EndObject();
   json.Finish();
-  std::fclose(out);
-  std::printf("\nwrote %s\n", json_path);
+  std::printf("\nwrote %s\n", args.json_path);
   return 0;
 }
 

@@ -38,16 +38,13 @@
 // seed are byte-identical (the determinism contract; see DESIGN.md §9).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "src/obs/trace.h"
 #include "src/testbed/fleet.h"
 #include "src/testbed/report.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
@@ -60,11 +57,10 @@ struct Cell {
   FleetExperimentResult result;
 };
 
-FleetExperimentConfig MakeConfig(int num_clients, size_t buffer_bytes, bool smoke, int shards,
-                                 bool leafspine) {
+FleetExperimentConfig MakeConfig(int num_clients, size_t buffer_bytes, const SweepArgs& args) {
   FleetExperimentConfig config;
   config.fabric = FleetExperimentConfig::DefaultFleetFabric(num_clients);
-  if (leafspine) {
+  if (args.leafspine) {
     // Same edge calibration, Clos core: hosts round-robin over two racks,
     // so with two servers half the connections stay rack-local and half
     // cross a spine. The server-port buffer under sweep still applies to
@@ -75,87 +71,54 @@ FleetExperimentConfig MakeConfig(int num_clients, size_t buffer_bytes, bool smok
     config.fabric.num_servers = 2;
     config.fabric.trunk_link.bandwidth_bps = 100e9;
   }
-  config.fabric.shards = shards;
+  config.fabric.shards = args.shards;
   config.fabric.server_port.buffer_bytes = buffer_bytes;
   // Mark early so the ECN counters show where marking would act.
   config.fabric.server_port.ecn_threshold_bytes = buffer_bytes / 4;
   config.total_rate_rps = 20000;  // Constant aggregate across fleet sizes.
   config.batch_mode = BatchMode::kStaticOff;
   config.seed = kSeed;
-  if (smoke) {
+  if (args.smoke) {
     config.warmup = Duration::Millis(50);
     config.measure = Duration::Millis(150);
   }
   return config;
 }
 
-// Same-seed runs must agree bit-for-bit; any drift here means a component
-// broke the keyed-seed contract (fabric_topology.h).
-void CheckDeterminism(const FleetExperimentConfig& config) {
-  const FleetExperimentResult a = RunFleetExperiment(config);
-  const FleetExperimentResult b = RunFleetExperiment(config);
-  const bool same = a.measured_mean_us == b.measured_mean_us &&
-                    a.measured_p99_us == b.measured_p99_us &&
-                    a.fleet_est_bytes_us == b.fleet_est_bytes_us &&
-                    a.requests_completed == b.requests_completed &&
-                    a.retransmits == b.retransmits &&
-                    a.switch_tail_drops == b.switch_tail_drops &&
-                    a.switch_ecn_marked == b.switch_ecn_marked &&
-                    a.server_port_max_queue_bytes == b.server_port_max_queue_bytes;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed fleet runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed runs identical\n");
+bool SameFleetRun(const FleetExperimentResult& a, const FleetExperimentResult& b) {
+  return a.measured_mean_us == b.measured_mean_us && a.measured_p99_us == b.measured_p99_us &&
+         a.fleet_est_bytes_us == b.fleet_est_bytes_us &&
+         a.requests_completed == b.requests_completed && a.retransmits == b.retransmits &&
+         a.switch_tail_drops == b.switch_tail_drops &&
+         a.switch_ecn_marked == b.switch_ecn_marked &&
+         a.server_port_max_queue_bytes == b.server_port_max_queue_bytes;
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  bool leafspine = false;
-  int jobs = 1;
-  int shards = 0;
-  const char* json_path = nullptr;
-  const char* trace_path = nullptr;
-  const char* series_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool flag_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (std::strcmp(argv[i], "--leafspine") == 0) {
-      leafspine = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &flag_ok) ||
-               ParseShardsFlag(argv[i], &shards, &flag_ok)) {
-      if (!flag_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
-      series_path = argv[i] + 9;
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  if (!ParseSweepArgs(argc, argv,
+                      kSweepSmoke | kSweepJobs | kSweepShards | kSweepTrace | kSweepSeries |
+                          kSweepLeafSpine,
+                      &args)) {
+    return 1;
   }
-
-  PrintBanner(leafspine ? "Fleet sweep: clients x server-port buffer (leaf-spine fabric)"
+  PrintBanner(args.leafspine ? "Fleet sweep: clients x server-port buffer (leaf-spine fabric)"
                         : "Fleet sweep: clients x server-port buffer (star fabric)");
 
   const std::vector<int> fleet_sizes =
-      smoke ? std::vector<int>{1, 4, 8} : std::vector<int>{1, 4, 16, 64, 256};
-  const std::vector<size_t> buffers = smoke ? std::vector<size_t>{32 * 1024, 0}
-                                            : std::vector<size_t>{64 * 1024, 512 * 1024, 0};
+      args.smoke ? std::vector<int>{1, 4, 8} : std::vector<int>{1, 4, 16, 64, 256};
+  const std::vector<size_t> buffers = args.smoke
+                                          ? std::vector<size_t>{32 * 1024, 0}
+                                          : std::vector<size_t>{64 * 1024, 512 * 1024, 0};
 
-  if (smoke) {
-    CheckDeterminism(MakeConfig(fleet_sizes.front(), buffers.front(), smoke, shards, leafspine));
+  if (args.smoke) {
+    CheckSameSeed(MakeConfig(fleet_sizes.front(), buffers.front(), args), RunFleetExperiment,
+                  SameFleetRun, "fleet runs");
   }
 
   // --trace captures the first (smallest) cell: one client keeps the packet
   // and queue tracks readable in the viewer.
-  std::optional<TraceRecorder> recorder;
-  if (trace_path != nullptr) {
-    recorder.emplace(/*capacity=*/1 << 18);
-  }
+  SweepTrace trace(args.trace_path);
 
   // Cells are independent deterministic simulations; bodies fill their own
   // slot on the worker pool and every output byte is produced by the
@@ -172,15 +135,14 @@ int Main(int argc, char** argv) {
 
   Table table({"clients", "buf_KB", "kRPS", "meas_us", "p99_us", "fleet_est_us", "err%",
                "online_us", "drops", "ecn", "maxq_KB", "rtx"});
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(args.jobs);
   executor.Run(
       cells.size(),
       [&](size_t i) {
         Cell& cell = cells[i];
         // Thread-local binding: only cell 0 records, whatever thread runs it.
-        ScopedTrace bind(i == 0 && recorder.has_value() ? &*recorder : nullptr);
-        cell.result = RunFleetExperiment(
-            MakeConfig(cell.num_clients, cell.buffer_bytes, smoke, shards, leafspine));
+        ScopedTrace bind(trace.For(i == 0));
+        cell.result = RunFleetExperiment(MakeConfig(cell.num_clients, cell.buffer_bytes, args));
       },
       [&](size_t i) {
         const Cell& cell = cells[i];
@@ -220,48 +182,33 @@ int Main(int argc, char** argv) {
       "band while the server port absorbs the incast; once the buffer clips\n"
       "(drops > 0) retransmission delay moves ground truth before the counters.\n\n");
 
-  if (recorder.has_value()) {
-    if (!recorder->WriteChromeTraceFile(trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path);
-      return 1;
-    }
-    // stderr so tracing leaves stdout byte-identical.
-    std::fprintf(stderr, "trace: %llu events recorded (%llu overwritten) -> %s\n",
-                 static_cast<unsigned long long>(recorder->recorded()),
-                 static_cast<unsigned long long>(recorder->overwritten()), trace_path);
+  if (!trace.Write()) {
+    return 1;
   }
 
-  if (series_path != nullptr) {
+  if (args.series_path != nullptr) {
     // Sampling is read-only, but the sampler's own ticks count as engine
     // events and nudge the queue-occupancy stats the JSON reports — so the
     // series comes from a dedicated same-seed re-run of the first cell and
     // the main outputs stay byte-identical with and without --series.
     FleetExperimentConfig config =
-        MakeConfig(cells.front().num_clients, cells.front().buffer_bytes, smoke, shards,
-                   leafspine);
+        MakeConfig(cells.front().num_clients, cells.front().buffer_bytes, args);
     config.series_interval = Duration::Millis(1);
-    const FleetExperimentResult observed = RunFleetExperiment(config);
-    if (observed.series == nullptr || !observed.series->WriteFile(series_path)) {
-      std::fprintf(stderr, "cannot write %s\n", series_path);
+    if (!WriteSeriesFile(RunFleetExperiment(config).series, args.series_path)) {
       return 1;
     }
-    std::fprintf(stderr, "series: %zu samples -> %s\n", observed.series->num_rows(), series_path);
   }
 
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
+  const JsonOutputFile json_out(args.json_path);
+  if (json_out.get() == nullptr) {
+    return 1;
   }
-  JsonWriter json(json_out);
+  JsonWriter json(json_out.get());
   json.BeginObject();
   json.KV("bench", std::string("fleet_sweep"));
   json.KV("seed", kSeed);
-  json.KV("smoke", static_cast<uint64_t>(smoke ? 1 : 0));
-  json.KV("fabric", std::string(leafspine ? "leafspine" : "star"));
+  json.KV("smoke", static_cast<uint64_t>(args.smoke ? 1 : 0));
+  json.KV("fabric", std::string(args.leafspine ? "leafspine" : "star"));
   json.KV("unit_mode", std::string("bytes"));
   json.Key("cells").BeginArray();
   for (const Cell& cell : cells) {
@@ -274,24 +221,9 @@ int Main(int argc, char** argv) {
     json.KV("measured_mean_us", r.measured_mean_us, 2);
     json.KV("measured_p50_us", r.measured_p50_us, 2);
     json.KV("measured_p99_us", r.measured_p99_us, 2);
-    json.Key("fleet_est_bytes_us");
-    if (r.fleet_est_bytes_us.has_value()) {
-      json.Double(*r.fleet_est_bytes_us, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("fleet_est_err_pct");
-    if (const auto err = r.FleetEstimateErrorPct(); err.has_value()) {
-      json.Double(*err, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("online_est_us");
-    if (r.online_est_us.has_value()) {
-      json.Double(*r.online_est_us, 2);
-    } else {
-      json.Null();
-    }
+    json.KV("fleet_est_bytes_us", r.fleet_est_bytes_us, 2);
+    json.KV("fleet_est_err_pct", r.FleetEstimateErrorPct(), 2);
+    json.KV("online_est_us", r.online_est_us, 2);
     json.KV("requests_completed", r.requests_completed);
     json.KV("retransmits", r.retransmits);
     json.KV("switch_tail_drops", r.switch_tail_drops);
@@ -314,18 +246,8 @@ int Main(int argc, char** argv) {
       json.KV("achieved_krps", cr.achieved_krps, 3);
       json.KV("measured_mean_us", cr.measured_mean_us, 2);
       json.KV("measured_p99_us", cr.measured_p99_us, 2);
-      json.Key("est_bytes_us");
-      if (cr.est_bytes_us.has_value()) {
-        json.Double(*cr.est_bytes_us, 2);
-      } else {
-        json.Null();
-      }
-      json.Key("est_err_pct");
-      if (const auto err = cr.EstimateErrorPct(); err.has_value()) {
-        json.Double(*err, 2);
-      } else {
-        json.Null();
-      }
+      json.KV("est_bytes_us", cr.est_bytes_us, 2);
+      json.KV("est_err_pct", cr.EstimateErrorPct(), 2);
       json.KV("requests_completed", cr.requests_completed);
       json.KV("retransmits", cr.retransmits);
       json.EndObject();
@@ -365,9 +287,6 @@ int Main(int argc, char** argv) {
   json.EndArray();
   json.EndObject();
   json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
   return 0;
 }
 

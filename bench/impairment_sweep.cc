@@ -26,6 +26,7 @@
 #include "src/testbed/experiment.h"
 #include "src/testbed/report.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
@@ -54,18 +55,9 @@ ImpairmentConfig MakeImpairment(double burst_pkts, double loss_rate, double jitt
 
 int Main(int argc, char** argv) {
   constexpr uint64_t kSeed = 977;
-  int jobs = 1;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool jobs_ok = true;
-    if (ParseJobsFlag(argv[i], &jobs, &jobs_ok)) {
-      if (!jobs_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  if (!ParseSweepArgs(argc, argv, kSweepJobs, &args)) {
+    return 1;
   }
 
   PrintBanner("Estimator error under Gilbert-Elliott loss x jitter");
@@ -97,7 +89,7 @@ int Main(int argc, char** argv) {
 
   Table table({"burst", "loss", "jit_us", "kRPS", "meas_us", "est_us", "err%", "rtx", "dropped",
                "reordered"});
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(args.jobs);
   executor.Run(
       cells.size(),
       [&](size_t i) {
@@ -156,15 +148,11 @@ int Main(int argc, char** argv) {
       "recovered within the window; deep bursts shift latency into retransmission\n"
       "timeouts that the queue averages see only partially.\n\n");
 
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
+  const JsonOutputFile json_out(args.json_path);
+  if (json_out.get() == nullptr) {
+    return 1;
   }
-  JsonWriter json(json_out);
+  JsonWriter json(json_out.get());
   json.BeginObject();
   json.KV("bench", std::string("impairment_sweep"));
   json.KV("seed", kSeed);
@@ -180,18 +168,8 @@ int Main(int argc, char** argv) {
     json.KV("achieved_krps", r.achieved_krps, 2);
     json.KV("measured_mean_us", r.measured_mean_us, 2);
     json.KV("measured_p99_us", r.measured_p99_us, 2);
-    json.Key("est_bytes_us");
-    if (r.est_bytes_us.has_value()) {
-      json.Double(*r.est_bytes_us, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("est_err_pct");
-    if (const auto err = r.EstimateErrorPct(UnitMode::kBytes); err.has_value()) {
-      json.Double(*err, 2);
-    } else {
-      json.Null();
-    }
+    json.KV("est_bytes_us", r.est_bytes_us, 2);
+    json.KV("est_err_pct", r.EstimateErrorPct(UnitMode::kBytes), 2);
     json.KV("client_retransmits", r.client_retransmits);
     json.KV("server_retransmits", r.server_retransmits);
     json.KV("client_delack_fires", r.client_delack_fires);
@@ -204,9 +182,6 @@ int Main(int argc, char** argv) {
   json.EndArray();
   json.EndObject();
   json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
   return 0;
 }
 

@@ -35,13 +35,13 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "src/testbed/recovery.h"
 #include "src/testbed/report.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
@@ -159,43 +159,22 @@ RecoveryConfig MakeConfig(const Cell& cell, bool smoke) {
   return config;
 }
 
-void CheckDeterminism(const RecoveryConfig& config) {
-  const RecoveryResult a = RunRecoveryExperiment(config);
-  const RecoveryResult b = RunRecoveryExperiment(config);
-  const bool same = a.bytes_delivered == b.bytes_delivered &&
-                    a.retransmits == b.retransmits &&
-                    a.sack_retransmits == b.sack_retransmits &&
-                    a.rack_marked_lost == b.rack_marked_lost &&
-                    a.tlp_probes == b.tlp_probes && a.rto_fires == b.rto_fires &&
-                    a.recovery_events == b.recovery_events &&
-                    a.dup_segments_received == b.dup_segments_received &&
-                    a.srtt_us == b.srtt_us && a.rtt_samples == b.rtt_samples &&
-                    a.exchanges_received == b.exchanges_received &&
-                    a.c2s_dropped == b.c2s_dropped && a.s2c_dropped == b.s2c_dropped;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed recovery runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed runs identical\n");
+bool SameRecoveryRun(const RecoveryResult& a, const RecoveryResult& b) {
+  return a.bytes_delivered == b.bytes_delivered && a.retransmits == b.retransmits &&
+         a.sack_retransmits == b.sack_retransmits && a.rack_marked_lost == b.rack_marked_lost &&
+         a.tlp_probes == b.tlp_probes && a.rto_fires == b.rto_fires &&
+         a.recovery_events == b.recovery_events &&
+         a.dup_segments_received == b.dup_segments_received && a.srtt_us == b.srtt_us &&
+         a.rtt_samples == b.rtt_samples && a.exchanges_received == b.exchanges_received &&
+         a.c2s_dropped == b.c2s_dropped && a.s2c_dropped == b.s2c_dropped;
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  int jobs = 1;
-  const char* json_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool jobs_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &jobs_ok)) {
-      if (!jobs_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs, &args)) {
+    return 1;
   }
+  const bool smoke = args.smoke;
 
   PrintBanner("Recovery sweep: feature set x path impairment x congestion control");
 
@@ -224,7 +203,8 @@ int Main(int argc, char** argv) {
   }
 
   if (smoke) {
-    CheckDeterminism(MakeConfig(cells.front(), smoke));
+    CheckSameSeed(MakeConfig(cells.front(), smoke), RunRecoveryExperiment, SameRecoveryRun,
+                  "recovery runs");
   }
 
   Table table({"mode", "path", "cc", "goodput_mbps", "retx", "sack_rtx", "rack_lost", "tlp",
@@ -235,7 +215,7 @@ int Main(int argc, char** argv) {
   double rtt_err[2] = {-1, -1};  // [ts_off, ts_on]
   double rtt_base = -1;          // min(min_rtt) across the two RTT cells.
 
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(args.jobs);
   executor.Run(
       cells.size(),
       [&](size_t i) { cells[i].result = RunRecoveryExperiment(MakeConfig(cells[i], smoke)); },
@@ -332,15 +312,11 @@ int Main(int argc, char** argv) {
       "waits out backed-off RTOs and rewinds; the scoreboard repairs holes\n"
       "individually and RACK converts reordering tolerance into time, not counts.\n\n");
 
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
+  const JsonOutputFile json_out(args.json_path);
+  if (json_out.get() == nullptr) {
+    return 1;
   }
-  JsonWriter json(json_out);
+  JsonWriter json(json_out.get());
   json.BeginObject();
   json.KV("bench", std::string("recovery_sweep"));
   json.KV("seed", kSeed);
@@ -386,9 +362,6 @@ int Main(int argc, char** argv) {
   json.EndArray();
   json.EndObject();
   json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
   return 0;
 }
 

@@ -39,18 +39,18 @@
 // JSON uses fixed-width formatting only: two same-seed runs are
 // byte-identical (the determinism contract; see DESIGN.md §9).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/core/policy.h"
-#include "src/obs/trace.h"
 #include "src/testbed/report.h"
 #include "src/testbed/robustness.h"
 #include "src/testbed/sweep/executor.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
@@ -207,48 +207,21 @@ void CheckCountersMatchSchedule(const RobustnessConfig& config, const Robustness
   }
 }
 
-void CheckDeterminism(const RobustnessConfig& config) {
-  const RobustnessResult a = RunRobustnessExperiment(config);
-  const RobustnessResult b = RunRobustnessExperiment(config);
-  const bool same = a.measured_mean_us == b.measured_mean_us &&
-                    a.measured_p99_us == b.measured_p99_us &&
-                    a.requests_completed == b.requests_completed &&
-                    a.controller_switches == b.controller_switches &&
-                    a.health.demotions == b.health.demotions &&
-                    a.health.promotions == b.health.promotions &&
-                    a.faults.payloads_withheld == b.faults.payloads_withheld &&
-                    a.reconnect_attempts == b.reconnect_attempts &&
-                    a.frozen_ticks == b.frozen_ticks;
-  if (!same) {
-    std::fprintf(stderr, "FATAL: same-seed robustness runs diverged\n");
-    std::abort();
-  }
-  std::printf("determinism check: two same-seed runs identical\n");
+bool SameRobustnessRun(const RobustnessResult& a, const RobustnessResult& b) {
+  return a.measured_mean_us == b.measured_mean_us && a.measured_p99_us == b.measured_p99_us &&
+         a.requests_completed == b.requests_completed &&
+         a.controller_switches == b.controller_switches &&
+         a.health.demotions == b.health.demotions && a.health.promotions == b.health.promotions &&
+         a.faults.payloads_withheld == b.faults.payloads_withheld &&
+         a.reconnect_attempts == b.reconnect_attempts && a.frozen_ticks == b.frozen_ticks;
 }
 
 int Main(int argc, char** argv) {
-  bool smoke = false;
-  int jobs = 1;
-  const char* json_path = nullptr;
-  const char* trace_path = nullptr;
-  const char* series_path = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    bool flag_ok = true;
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      smoke = true;
-    } else if (ParseJobsFlag(argv[i], &jobs, &flag_ok)) {
-      if (!flag_ok) {
-        std::fprintf(stderr, "invalid %s\n", argv[i]);
-        return 1;
-      }
-    } else if (std::strncmp(argv[i], "--trace=", 8) == 0) {
-      trace_path = argv[i] + 8;
-    } else if (std::strncmp(argv[i], "--series=", 9) == 0) {
-      series_path = argv[i] + 9;
-    } else if (!AcceptJsonPath(argv[i], &json_path)) {
-      return 1;
-    }
+  SweepArgs args;
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries, &args)) {
+    return 1;
   }
+  const bool smoke = args.smoke;
 
   PrintBanner("Robustness sweep: fault scenario x fallback chain");
 
@@ -260,7 +233,8 @@ int Main(int argc, char** argv) {
                                     Scenario::kCrash, Scenario::kMixed, Scenario::kAckStorm};
 
   if (smoke) {
-    CheckDeterminism(MakeConfig(Scenario::kMetaWithhold, /*fallback=*/true, smoke));
+    CheckSameSeed(MakeConfig(Scenario::kMetaWithhold, /*fallback=*/true, smoke),
+                  RunRobustnessExperiment, SameRobustnessRun, "robustness runs");
   }
 
   // Build the cell grid up front: each cell is an independent deterministic
@@ -282,10 +256,7 @@ int Main(int argc, char** argv) {
                "frozen%", "full_ms", "static_ms", "detect_ms", "recover_ms", "regret"});
   double baseline_score[2] = {0, 0};
   double baseline_p99[2] = {0, 0};
-  std::optional<TraceRecorder> recorder;
-  if (trace_path != nullptr) {
-    recorder.emplace(/*capacity=*/1 << 18);
-  }
+  SweepTrace trace(args.trace_path);
 
   // The meta_withhold/fallback-on cell is the observability showcase: it
   // walks the whole fallback chain (exchange verdicts, demotions, freezes,
@@ -294,33 +265,25 @@ int Main(int argc, char** argv) {
     return cell.scenario == Scenario::kMetaWithhold && cell.fallback;
   };
 
-  int commit_status = 0;
-  SweepExecutor executor(jobs);
+  SweepExecutor executor(args.jobs);
   executor.Run(
       cells.size(),
       [&](size_t i) {
         Cell& cell = cells[i];
         RobustnessConfig config = MakeConfig(cell.scenario, cell.fallback, smoke);
         const bool observed_cell = is_observed(cell);
-        if (observed_cell && series_path != nullptr) {
+        if (observed_cell && args.series_path != nullptr) {
           config.series_interval = Duration::Millis(1);
         }
         configs[i] = config;
         // The trace binding is thread-local, so binding it here records
         // exactly this cell even when other cells run concurrently.
-        ScopedTrace bind(observed_cell && recorder.has_value() ? &*recorder : nullptr);
+        ScopedTrace bind(trace.For(observed_cell));
         cell.result = RunRobustnessExperiment(config);
       },
       [&](size_t i) {
         Cell& cell = cells[i];
         const RobustnessResult& r = cell.result;
-        if (is_observed(cell) && series_path != nullptr && r.series != nullptr) {
-          if (!r.series->WriteFile(series_path)) {
-            std::fprintf(stderr, "cannot write %s\n", series_path);
-            commit_status = 1;
-          }
-        }
-
         if (r.non_finite_samples != 0) {
           std::fprintf(stderr, "FATAL: %llu non-finite samples reached the policy\n",
                        static_cast<unsigned long long>(r.non_finite_samples));
@@ -352,8 +315,9 @@ int Main(int argc, char** argv) {
             .Num(r.time_to_recover_ms.value_or(0), 2)
             .Num(cell.regret, 4);
       });
-  if (commit_status != 0) {
-    return commit_status;
+  const Cell& observed = *std::find_if(cells.begin(), cells.end(), is_observed);
+  if (args.series_path != nullptr && !WriteSeriesFile(observed.result.series, args.series_path)) {
+    return 1;
   }
   table.Print();
 
@@ -413,27 +377,15 @@ int Main(int argc, char** argv) {
       "metadata outages and freezes on the known-good static policy once health\n"
       "degrades fully; disabled, stale estimates keep feeding exploration.\n\n");
 
-  if (recorder.has_value()) {
-    if (!recorder->WriteChromeTraceFile(trace_path)) {
-      std::fprintf(stderr, "cannot write %s\n", trace_path);
-      return 1;
-    }
-    // stderr, not stdout: the sweep's stdout must stay byte-identical with
-    // and without --trace (the passive-observation contract CI checks).
-    std::fprintf(stderr, "trace: %llu events recorded (%llu overwritten) -> %s\n",
-                 static_cast<unsigned long long>(recorder->recorded()),
-                 static_cast<unsigned long long>(recorder->overwritten()), trace_path);
+  if (!trace.Write()) {
+    return 1;
   }
 
-  FILE* json_out = stdout;
-  if (json_path != nullptr) {
-    json_out = std::fopen(json_path, "w");
-    if (json_out == nullptr) {
-      std::fprintf(stderr, "cannot open %s\n", json_path);
-      return 1;
-    }
+  const JsonOutputFile json_out(args.json_path);
+  if (json_out.get() == nullptr) {
+    return 1;
   }
-  JsonWriter json(json_out);
+  JsonWriter json(json_out.get());
   json.BeginObject();
   json.KV("bench", std::string("robustness_sweep"));
   json.KV("seed", kSeed);
@@ -450,24 +402,9 @@ int Main(int argc, char** argv) {
     json.KV("measured_p99_us", r.measured_p99_us, 2);
     json.KV("pre_fault_mean_us", r.pre_fault_mean_us, 2);
     json.KV("post_recovery_mean_us", r.post_recovery_mean_us, 2);
-    json.Key("online_est_us");
-    if (r.online_est_us.has_value()) {
-      json.Double(*r.online_est_us, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("est_err_pre_pct");
-    if (r.est_err_pre_pct.has_value()) {
-      json.Double(*r.est_err_pre_pct, 2);
-    } else {
-      json.Null();
-    }
-    json.Key("est_err_post_pct");
-    if (r.est_err_post_pct.has_value()) {
-      json.Double(*r.est_err_post_pct, 2);
-    } else {
-      json.Null();
-    }
+    json.KV("online_est_us", r.online_est_us, 2);
+    json.KV("est_err_pre_pct", r.est_err_pre_pct, 2);
+    json.KV("est_err_post_pct", r.est_err_post_pct, 2);
     json.KV("requests_completed", r.requests_completed);
     json.KV("controller_switches", r.controller_switches);
     json.KV("duty_cycle_on", r.duty_cycle_on, 4);
@@ -484,18 +421,8 @@ int Main(int argc, char** argv) {
     json.KV("time_in_local_ms", r.time_in_local_ms, 2);
     json.KV("time_in_diag_ms", r.time_in_diag_ms, 2);
     json.KV("time_in_static_ms", r.time_in_static_ms, 2);
-    json.Key("time_to_detect_ms");
-    if (r.time_to_detect_ms.has_value()) {
-      json.Double(*r.time_to_detect_ms, 3);
-    } else {
-      json.Null();
-    }
-    json.Key("time_to_recover_ms");
-    if (r.time_to_recover_ms.has_value()) {
-      json.Double(*r.time_to_recover_ms, 3);
-    } else {
-      json.Null();
-    }
+    json.KV("time_to_detect_ms", r.time_to_detect_ms, 3);
+    json.KV("time_to_recover_ms", r.time_to_recover_ms, 3);
     json.KV("fault_client_stalls", r.faults.client_stalls);
     json.KV("fault_server_stalls", r.faults.server_stalls);
     json.KV("fault_crashes", r.faults.crashes);
@@ -516,9 +443,6 @@ int Main(int argc, char** argv) {
   json.EndArray();
   json.EndObject();
   json.Finish();
-  if (json_out != stdout) {
-    std::fclose(json_out);
-  }
   return 0;
 }
 

@@ -72,7 +72,6 @@ class TraceRecorder {
   explicit TraceRecorder(size_t capacity = 1 << 16, uint32_t mask = kTraceAll);
 
   bool enabled(TraceCategory category) const { return (mask_ & TraceBit(category)) != 0; }
-  void SetMask(uint32_t mask) { mask_ = mask; }
   uint32_t mask() const { return mask_; }
 
   // Returns a stable track id for `name`, creating it on first use. Tracks

@@ -73,8 +73,6 @@ struct TcpSegment : public PacketPayload {
   std::vector<SackBlock> sack;
 
   bool is_retransmit = false;
-
-  bool HasPayload() const { return len > 0; }
 };
 
 }  // namespace e2e

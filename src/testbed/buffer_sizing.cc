@@ -2,42 +2,11 @@
 
 #include <cassert>
 #include <functional>
+#include <optional>
 
 #include "src/tcp/tcp_config.h"
 
 namespace e2e {
-namespace {
-
-// The shared bottleneck port set. Dumbbell: the client-side switch's trunk
-// port. Leaf-spine: the client rack's ECMP uplink ports — every flow
-// crosses them (clients pinned to one rack, servers to the other), and
-// per-flow spine pinning makes them the queueing point of the
-// oversubscribed core. Star: the server's downlink port.
-std::vector<SwitchPort*> FindBottlenecks(FabricTopology* topo) {
-  std::vector<SwitchPort*> ports;
-  if (topo->num_leaves() > 0) {
-    Switch& client_rack = *topo->client_switch();
-    for (size_t p = 0; p < client_rack.num_ports(); ++p) {
-      if (client_rack.port(p).name().find(".up") != std::string::npos) {
-        ports.push_back(&client_rack.port(p));
-      }
-    }
-    return ports;
-  }
-  Switch* client_sw = topo->client_switch();
-  if (client_sw != nullptr) {
-    for (size_t p = 0; p < client_sw->num_ports(); ++p) {
-      if (client_sw->port(p).name().find("trunk") != std::string::npos) {
-        ports.push_back(&client_sw->port(p));
-        return ports;
-      }
-    }
-  }
-  ports.push_back(topo->server_switch()->RouteFor(topo->server_host(0).id()));
-  return ports;
-}
-
-}  // namespace
 
 uint64_t BdpBytes(double bottleneck_bps, Duration rtt) {
   return static_cast<uint64_t>(bottleneck_bps / 8.0 * rtt.ToSeconds());
@@ -123,11 +92,18 @@ BufferSizingResult RunBufferSizing(const BufferSizingConfig& config) {
     sim.Schedule(Duration::Zero(), pump);
   }
 
-  const std::vector<SwitchPort*> bottlenecks = FindBottlenecks(&topo);
-  assert(!bottlenecks.empty() && bottlenecks.front() != nullptr);
-
   const TimePoint measure_start = sim.Now() + config.warmup;
   const TimePoint measure_end = measure_start + config.measure;
+
+  std::optional<TimeSeriesSampler> sampler;
+  if (config.series_interval > Duration::Zero()) {
+    sampler.emplace(&sim, config.series_interval);
+    topo.ExportQueueGauges(&*sampler);
+    sampler->Start(measure_end);
+  }
+
+  const std::vector<SwitchPort*> bottlenecks = topo.BottleneckPorts();
+  assert(!bottlenecks.empty() && bottlenecks.front() != nullptr);
 
   LogHistogram queue_hist;
   RunningStats queue_stats;
@@ -158,6 +134,9 @@ BufferSizingResult RunBufferSizing(const BufferSizingConfig& config) {
   sim.RunUntil(measure_end);
 
   BufferSizingResult result;
+  if (sampler.has_value()) {
+    result.series = std::make_shared<const TimeSeries>(sampler->TakeSeries());
+  }
   const double window_sec = config.measure.ToSeconds();
   double sum = 0;
   double sum_sq = 0;

@@ -21,8 +21,10 @@
 #define SRC_TESTBED_BUFFER_SIZING_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "src/obs/timeseries.h"
 #include "src/sim/stats.h"
 #include "src/sim/time.h"
 #include "src/tcp/cc/congestion_control.h"
@@ -70,6 +72,13 @@ struct BufferSizingConfig {
   Duration sample_interval = Duration::Micros(50);  // Queue/cwnd sampling.
   uint64_t seed = 7;
 
+  // When > 0, a TimeSeriesSampler records every switch port's queue gauges
+  // (FabricTopology::ExportQueueGauges) every `series_interval` and the
+  // result carries the series. Sampling is read-only, but its ticks are
+  // engine events, so sweeps take the series from a same-seed re-run
+  // (bench/buffer_sizing_sweep).
+  Duration series_interval = Duration::Zero();
+
   // Passed through to FabricConfig::shards (0 = classic engine; >= 1 runs
   // domain-partitioned, bit-identical across values >= 1).
   int shards = 0;
@@ -107,6 +116,9 @@ struct BufferSizingResult {
   uint64_t cc_decreases = 0;  // Client congestion reactions of any kind.
 
   double mean_cwnd_bytes = 0;  // Time-sampled mean across client flows.
+
+  // Aligned gauge samples; non-null iff config.series_interval > 0.
+  std::shared_ptr<const TimeSeries> series;
 };
 
 // Bandwidth-delay product in bytes for a bottleneck rate and an RTT.

@@ -19,20 +19,6 @@ namespace e2e {
 
 namespace {
 
-// The engineered bottleneck: the trunk port on a dumbbell, the server's
-// downlink port on a star (same convention as buffer_sizing.cc).
-SwitchPort* FindBottleneck(FabricTopology* topo) {
-  Switch* client_sw = topo->client_switch();
-  if (client_sw != nullptr) {
-    for (size_t p = 0; p < client_sw->num_ports(); ++p) {
-      if (client_sw->port(p).name().find("trunk") != std::string::npos) {
-        return &client_sw->port(p);
-      }
-    }
-  }
-  return topo->server_switch()->RouteFor(topo->server_host(0).id());
-}
-
 // Ground-truth label from the sender endpoint's real state — the oracle the
 // diagnoser never sees. Receiver first: a flow pinned against the peer's
 // advertised window is receiver-limited even while cwnd idles just above
@@ -213,7 +199,9 @@ DiagnosisValidationResult RunDiagnosisValidation(const DiagnosisValidationConfig
     }
   }
 
-  SwitchPort* bottleneck = FindBottleneck(&topo);
+  // The engineered bottleneck: the dumbbell's trunk port, the star's
+  // server downlink port.
+  SwitchPort* bottleneck = topo.BottleneckPorts().front();
   assert(bottleneck != nullptr);
 
   const TimePoint measure_start = sim.Now() + config.warmup;

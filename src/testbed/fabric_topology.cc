@@ -334,6 +334,25 @@ const ImpairmentChain* FabricTopology::s2c_impairment(int ci) const {
   return client_at_.at(ci).rx_impair.get();
 }
 
+std::vector<SwitchPort*> FabricTopology::BottleneckPorts() {
+  std::vector<SwitchPort*> ports;
+  if (switches_.empty()) {
+    return ports;
+  }
+  Switch& client_sw = *client_switch();
+  for (size_t p = 0; p < client_sw.num_ports(); ++p) {
+    const std::string& name = client_sw.port(p).name();
+    if (IsLeafSpine() ? name.find(".up") != std::string::npos
+                      : name.find("trunk") != std::string::npos) {
+      ports.push_back(&client_sw.port(p));
+    }
+  }
+  if (ports.empty()) {
+    ports.push_back(server_switch()->RouteFor(server_host(0).id()));
+  }
+  return ports;
+}
+
 uint64_t FabricTopology::total_switch_drops() const {
   uint64_t total = 0;
   for (const auto& sw : switches_) {

@@ -236,6 +236,13 @@ class FabricTopology {
   const ImpairmentChain* c2s_impairment(int si = 0) const;
   const ImpairmentChain* s2c_impairment(int ci = 0) const;
 
+  // The engineered client->server bottleneck port set. kDumbbell: the
+  // client switch's trunk port. kStar: server 0's downlink port.
+  // kLeafSpine: the client rack's ECMP uplink ports, which every flow
+  // crosses when clients and servers are pinned to different racks
+  // (FabricConfig::client_leaf_pin / server_leaf_pin). Empty on kDirect.
+  std::vector<SwitchPort*> BottleneckPorts();
+
   // Sum of tail drops / ECN marks / forwarding misses across every switch
   // port (0 on kDirect).
   uint64_t total_switch_drops() const;

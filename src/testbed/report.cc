@@ -252,6 +252,11 @@ JsonWriter& JsonWriter::KV(const std::string& key, double value, int precision) 
 }
 JsonWriter& JsonWriter::KV(const std::string& key, int64_t value) { return Key(key).Int(value); }
 JsonWriter& JsonWriter::KV(const std::string& key, uint64_t value) { return Key(key).Uint(value); }
+JsonWriter& JsonWriter::KV(const std::string& key, const std::optional<double>& value,
+                           int precision) {
+  Key(key);
+  return value.has_value() ? Double(*value, precision) : Null();
+}
 
 JsonWriter& JsonWriter::ImpairmentArray(const ImpairmentSnapshot& snapshot) {
   BeginArray();

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -94,6 +95,8 @@ class JsonWriter {
   JsonWriter& KV(const std::string& key, double value, int precision = 3);
   JsonWriter& KV(const std::string& key, int64_t value);
   JsonWriter& KV(const std::string& key, uint64_t value);
+  // Key(k) + Double(*value, precision), or Key(k) + Null() when empty.
+  JsonWriter& KV(const std::string& key, const std::optional<double>& value, int precision = 3);
 
   // Emits every counter of one impairment snapshot as an array of objects
   // under the current context (call after Key(...) inside an object).

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -60,58 +56,6 @@ void SweepExecutor::Run(size_t num_cells, const std::function<void(size_t)>& bod
   for (std::thread& t : pool) {
     t.join();
   }
-}
-
-bool ParseJobsFlag(const char* arg, int* jobs, bool* ok) {
-  constexpr const char* kPrefix = "--jobs=";
-  const size_t prefix_len = std::strlen(kPrefix);
-  if (std::strncmp(arg, kPrefix, prefix_len) != 0) {
-    return false;
-  }
-  const char* value = arg + prefix_len;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (*value == '\0' || end == nullptr || *end != '\0' || errno != 0 || parsed < 0) {
-    *ok = false;
-    return true;
-  }
-  if (parsed == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    *jobs = hw > 0 ? static_cast<int>(hw) : 1;
-  } else {
-    *jobs = static_cast<int>(parsed);
-  }
-  *ok = true;
-  return true;
-}
-
-bool ParseShardsFlag(const char* arg, int* shards, bool* ok) {
-  constexpr const char* kPrefix = "--shards=";
-  const size_t prefix_len = std::strlen(kPrefix);
-  if (std::strncmp(arg, kPrefix, prefix_len) != 0) {
-    return false;
-  }
-  const char* value = arg + prefix_len;
-  char* end = nullptr;
-  errno = 0;
-  const long parsed = std::strtol(value, &end, 10);
-  if (*value == '\0' || end == nullptr || *end != '\0' || errno != 0 || parsed < 0) {
-    *ok = false;
-    return true;
-  }
-  *shards = static_cast<int>(parsed);
-  *ok = true;
-  return true;
-}
-
-bool AcceptJsonPath(const char* arg, const char** json_path) {
-  if (std::strncmp(arg, "--", 2) == 0) {
-    std::fprintf(stderr, "invalid %s\n", arg);
-    return false;
-  }
-  *json_path = arg;
-  return true;
 }
 
 }  // namespace e2e

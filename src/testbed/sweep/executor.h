@@ -37,8 +37,6 @@ class SweepExecutor {
   // behavior the parallel path must reproduce byte-for-byte).
   explicit SweepExecutor(int jobs) : jobs_(jobs) {}
 
-  int jobs() const { return jobs_; }
-
   // Runs body(0..n-1) on the pool and commit(0..n-1) in order on the
   // calling thread (see the contract above). Returns after every body and
   // commit has finished.
@@ -48,25 +46,6 @@ class SweepExecutor {
  private:
   int jobs_;
 };
-
-// Parses a `--jobs=N` argument. Returns true (and sets *jobs) when `arg`
-// has that form; N = 0 selects the hardware concurrency. Invalid values
-// (negative, non-numeric) leave *jobs untouched and still return true so
-// callers can reject the flag; *ok reports whether N parsed cleanly.
-bool ParseJobsFlag(const char* arg, int* jobs, bool* ok);
-
-// Parses a `--shards=N` argument (same contract as ParseJobsFlag). N = 0
-// selects the classic single-domain engine; N >= 1 runs the cell's
-// simulation domain-partitioned with N worker threads — output must be
-// byte-identical for every N >= 1 (ctest label `shard` compares them).
-bool ParseShardsFlag(const char* arg, int* shards, bool* ok);
-
-// The last branch of a sweep's argv loop: takes `arg` as the positional
-// JSON output path and returns true. An argument that starts with "--" is
-// a flag the binary does not know; it prints "invalid <arg>" to stderr,
-// leaves *json_path untouched and returns false (callers exit 1), so a
-// typo or an unsupported flag never becomes an output file name.
-bool AcceptJsonPath(const char* arg, const char** json_path);
 
 }  // namespace e2e
 

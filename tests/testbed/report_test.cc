@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <optional>
 #include <string>
 
 namespace e2e {
@@ -90,6 +91,34 @@ TEST(ReportTest, RegistryArrayEmitsEntityObjects) {
   EXPECT_STREQ(buf,
                "[{\"entity\":\"client.nic\",\"rx\":3,\"tx\":4},"
                "{\"entity\":\"sw0.server.port\",\"drops\":7}]\n");
+}
+
+// Renders `write`'s JSON object into a string.
+template <typename Write>
+std::string JsonOf(Write write) {
+  char buf[256] = {};
+  FILE* mem = fmemopen(buf, sizeof(buf) - 1, "w");
+  JsonWriter json(mem);
+  json.BeginObject();
+  write(json);
+  json.EndObject();
+  json.Finish();
+  std::fclose(mem);
+  return buf;
+}
+
+TEST(ReportTest, OptionalKvWritesDoubleOrNull) {
+  const std::optional<double> present = 12.345678;
+  const std::optional<double> empty;
+  // Present: the same bytes as Key + Double at the same precision.
+  EXPECT_EQ(JsonOf([&](JsonWriter& j) { j.KV("est_us", present, 2).KV("n", uint64_t{1}); }),
+            JsonOf([&](JsonWriter& j) { j.Key("est_us").Double(*present, 2).KV("n", uint64_t{1}); }));
+  EXPECT_EQ(JsonOf([&](JsonWriter& j) { j.KV("est_us", present, 2); }), "{\"est_us\":12.35}\n");
+  EXPECT_EQ(JsonOf([&](JsonWriter& j) { j.KV("ms", present); }),
+            JsonOf([&](JsonWriter& j) { j.Key("ms").Double(*present); }));
+  // Empty: null, and the next key still gets its comma.
+  EXPECT_EQ(JsonOf([&](JsonWriter& j) { j.KV("est_us", empty, 2).KV("n", uint64_t{1}); }),
+            "{\"est_us\":null,\"n\":1}\n");
 }
 
 TEST(ReportTest, BannerContainsTitle) {

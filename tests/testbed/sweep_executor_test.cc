@@ -1,9 +1,11 @@
-// SweepExecutor contract tests (DESIGN.md §12): bodies may run on any
-// worker in any order, but commits run on the calling thread, strictly in
-// cell-index order, exactly once per cell — which is what makes --jobs=N
-// output byte-identical to --jobs=1. The jobs=1-vs-jobs=4 identity is
-// checked here at the result level on a real robustness grid; the
-// byte-level stdout/JSON comparison lives in CI (parallel-identity job).
+// Sweep harness tests (DESIGN.md §12). The argv parser, output files and
+// same-seed check every sweep binary shares; then the SweepExecutor
+// contract: bodies may run on any worker in any order, but commits run on
+// the calling thread, strictly in cell-index order, exactly once per cell
+// — which is what makes --jobs=N output byte-identical to --jobs=1. The
+// jobs=1-vs-jobs=4 identity is checked here at the result level on a real
+// robustness grid; the byte-level stdout/JSON comparison lives in CI
+// (parallel-identity job).
 
 #include "src/testbed/sweep/executor.h"
 
@@ -12,65 +14,209 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "src/testbed/robustness.h"
+#include "src/testbed/sweep/harness.h"
 
 namespace e2e {
 namespace {
 
-TEST(ParseJobsFlagTest, ParsesWellFormedValues) {
-  int jobs = -1;
-  bool ok = false;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=4", &jobs, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(jobs, 4);
+constexpr unsigned kEveryFlag =
+    kSweepSmoke | kSweepJobs | kSweepShards | kSweepTrace | kSweepSeries | kSweepLeafSpine;
 
-  EXPECT_TRUE(ParseJobsFlag("--jobs=1", &jobs, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_EQ(jobs, 1);
+// Parses `argv` (without the program name) and returns what the parser
+// printed to stderr through *printed.
+bool Parse(std::vector<const char*> argv, unsigned accepted, SweepArgs* args,
+           std::string* printed = nullptr) {
+  argv.insert(argv.begin(), "sweep");
+  testing::internal::CaptureStderr();
+  const bool ok = ParseSweepArgs(static_cast<int>(argv.size()), argv.data(), accepted, args);
+  const std::string err = testing::internal::GetCapturedStderr();
+  if (printed != nullptr) {
+    *printed = err;
+  }
+  return ok;
+}
+
+TEST(SweepArgsTest, JobsTakesACountAndZeroMeansAllCores) {
+  SweepArgs args;
+  EXPECT_TRUE(Parse({"--jobs=4"}, kSweepJobs, &args));
+  EXPECT_EQ(args.jobs, 4);
+  EXPECT_TRUE(Parse({"--jobs=1"}, kSweepJobs, &args));
+  EXPECT_EQ(args.jobs, 1);
 
   // 0 = "use all cores"; always resolves to at least one worker.
-  EXPECT_TRUE(ParseJobsFlag("--jobs=0", &jobs, &ok));
-  EXPECT_TRUE(ok);
-  EXPECT_GE(jobs, 1);
+  EXPECT_TRUE(Parse({"--jobs=0"}, kSweepJobs, &args));
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(args.jobs, hw > 0 ? static_cast<int>(hw) : 1);
+  EXPECT_GE(args.jobs, 1);
 }
 
-TEST(ParseJobsFlagTest, RejectsMalformedValues) {
-  int jobs = -1;
-  bool ok = true;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=banana", &jobs, &ok));
-  EXPECT_FALSE(ok);
-  ok = true;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=", &jobs, &ok));
-  EXPECT_FALSE(ok);
-  ok = true;
-  EXPECT_TRUE(ParseJobsFlag("--jobs=-2", &jobs, &ok));
-  EXPECT_FALSE(ok);
-  // Not a --jobs flag at all: untouched, caller handles it.
-  EXPECT_FALSE(ParseJobsFlag("out.json", &jobs, &ok));
-  EXPECT_FALSE(ParseJobsFlag("--smoke", &jobs, &ok));
+TEST(SweepArgsTest, ShardsTakesACountAboveTheCallersMinimum) {
+  SweepArgs args;
+  EXPECT_TRUE(Parse({"--shards=0"}, kSweepShards, &args));
+  EXPECT_EQ(args.shards, 0);  // The classic engine.
+  EXPECT_TRUE(Parse({"--shards=4"}, kSweepShards, &args));
+  EXPECT_EQ(args.shards, 4);
+
+  // engine_perf's top worker count starts at 1.
+  args.min_shards = 1;
+  std::string err;
+  EXPECT_FALSE(Parse({"--shards=0"}, kSweepShards, &args, &err));
+  EXPECT_EQ(err, "invalid --shards=0\n");
+  EXPECT_EQ(args.shards, 4);
+  EXPECT_TRUE(Parse({"--shards=1"}, kSweepShards, &args));
+  EXPECT_EQ(args.shards, 1);
 }
 
-TEST(AcceptJsonPathTest, TakesPositionalPathsAndRejectsUnknownFlags) {
-  const char* json_path = nullptr;
-  EXPECT_TRUE(AcceptJsonPath("out.json", &json_path));
-  EXPECT_STREQ(json_path, "out.json");
+TEST(SweepArgsTest, RejectsMalformedOrNegativeCounts) {
+  // A count that does not fit an int is malformed too, not wrapped.
+  for (const char* arg : {"--jobs=banana", "--jobs=", "--jobs=-2", "--jobs=3x", "--jobs=2147483648",
+                          "--shards=banana", "--shards=", "--shards=-1", "--shards=4294967297"}) {
+    SweepArgs args;
+    std::string err;
+    EXPECT_FALSE(Parse({arg}, kEveryFlag, &args, &err)) << arg;
+    EXPECT_EQ(err, std::string("invalid ") + arg + "\n");
+    EXPECT_EQ(args.jobs, 1) << arg;
+    EXPECT_EQ(args.shards, 0) << arg;
+  }
+  // The first bad argument is the one reported.
+  SweepArgs args;
+  std::string err;
+  EXPECT_FALSE(Parse({"--jobs=banana", "--bogus"}, kEveryFlag, &args, &err));
+  EXPECT_EQ(err, "invalid --jobs=banana\n");
+}
+
+TEST(SweepArgsTest, RejectsFlagsTheBinaryDoesNotAccept) {
+  struct Case {
+    const char* arg;
+    unsigned accepted;
+  };
+  const Case cases[] = {
+      {"--trace=t.json", kSweepSmoke | kSweepJobs},  // recovery_sweep
+      {"--shards=2", kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries},  // robustness
+      {"--smoke", kSweepJobs},                                                // impairment
+      {"--series=s.csv", kSweepJobs},
+      {"--leafspine", kSweepSmoke},
+      {"--jobs=2", kSweepSmoke},
+      {"--bogus", kEveryFlag},
+      {"--smoke=1", kEveryFlag},
+      {"--", kEveryFlag},
+  };
+  for (const Case& c : cases) {
+    // A flag the binary does not take must not become the output file.
+    SweepArgs args;
+    args.json_path = "kept.json";
+    std::string err;
+    EXPECT_FALSE(Parse({c.arg}, c.accepted, &args, &err)) << c.arg;
+    EXPECT_EQ(err, std::string("invalid ") + c.arg + "\n");
+    EXPECT_STREQ(args.json_path, "kept.json");
+    EXPECT_EQ(args.trace_path, nullptr);
+    EXPECT_EQ(args.series_path, nullptr);
+  }
+}
+
+TEST(SweepArgsTest, TakesPositionalPathsIncludingDash) {
+  SweepArgs args;
+  EXPECT_TRUE(Parse({"out.json"}, 0, &args));
+  EXPECT_STREQ(args.json_path, "out.json");
   // A single dash is a path, not a flag.
-  EXPECT_TRUE(AcceptJsonPath("-", &json_path));
-  EXPECT_STREQ(json_path, "-");
+  EXPECT_TRUE(Parse({"-"}, 0, &args));
+  EXPECT_STREQ(args.json_path, "-");
 
-  // A flag the binary did not match must not become the output file.
-  json_path = "kept.json";
+  // Flags and paths mix in any order; the last path wins.
+  SweepArgs all;
+  EXPECT_TRUE(Parse({"a.json", "--smoke", "--trace=t.json", "b.json", "--series=s.csv",
+                     "--leafspine", "--jobs=3", "--shards=2"},
+                    kEveryFlag, &all));
+  EXPECT_STREQ(all.json_path, "b.json");
+  EXPECT_STREQ(all.trace_path, "t.json");
+  EXPECT_STREQ(all.series_path, "s.csv");
+  EXPECT_TRUE(all.smoke);
+  EXPECT_TRUE(all.leafspine);
+  EXPECT_EQ(all.jobs, 3);
+  EXPECT_EQ(all.shards, 2);
+}
+
+TEST(SweepArgsTest, KeepsTheCallersDefaults) {
+  // engine_perf's defaults: --jobs=4 --shards=4 BENCH_engine.json.
+  SweepArgs args;
+  args.jobs = 4;
+  args.shards = 4;
+  args.min_shards = 1;
+  args.json_path = "BENCH_engine.json";
+  std::string err;
+  EXPECT_TRUE(Parse({"--smoke"}, kSweepSmoke | kSweepJobs | kSweepShards, &args, &err));
+  EXPECT_EQ(err, "");
+  EXPECT_TRUE(args.smoke);
+  EXPECT_EQ(args.jobs, 4);
+  EXPECT_EQ(args.shards, 4);
+  EXPECT_STREQ(args.json_path, "BENCH_engine.json");
+
+  SweepArgs plain;
+  EXPECT_TRUE(Parse({}, kEveryFlag, &plain));
+  EXPECT_FALSE(plain.smoke);
+  EXPECT_FALSE(plain.leafspine);
+  EXPECT_EQ(plain.jobs, 1);
+  EXPECT_EQ(plain.shards, 0);
+  EXPECT_EQ(plain.json_path, nullptr);
+  EXPECT_EQ(plain.trace_path, nullptr);
+  EXPECT_EQ(plain.series_path, nullptr);
+}
+
+TEST(SweepOutputTest, UnwritablePathsReportAndFail) {
   testing::internal::CaptureStderr();
-  EXPECT_FALSE(AcceptJsonPath("--trace=t.json", &json_path));
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "invalid --trace=t.json\n");
-  EXPECT_STREQ(json_path, "kept.json");
-  testing::internal::CaptureStderr();
-  EXPECT_FALSE(AcceptJsonPath("--", &json_path));
-  EXPECT_EQ(testing::internal::GetCapturedStderr(), "invalid --\n");
-  EXPECT_STREQ(json_path, "kept.json");
+  const JsonOutputFile missing_dir("no-such-dir/out.json");
+  EXPECT_EQ(missing_dir.get(), nullptr);
+  EXPECT_FALSE(WriteSeriesFile(nullptr, "s.csv"));
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "cannot open no-such-dir/out.json\ncannot write s.csv\n");
+
+  const JsonOutputFile to_stdout(nullptr);
+  EXPECT_EQ(to_stdout.get(), stdout);
+}
+
+TEST(SweepOutputTest, TraceRecordsOnlyTheTracedCell) {
+  SweepTrace off(nullptr);
+  EXPECT_EQ(off.For(true), nullptr);
+  EXPECT_TRUE(off.Write());  // Nothing to write, nothing printed.
+
+  SweepTrace on("t.json");
+  EXPECT_NE(on.For(true), nullptr);
+  EXPECT_EQ(on.For(false), nullptr);
+}
+
+TEST(SameSeedCheckTest, PrintsTheSweepsLineWhenRunsAgree) {
+  int runs = 0;
+  const auto run = [&runs](int seed) {
+    ++runs;
+    return seed * 3;
+  };
+  const auto same = [](int a, int b) { return a == b; };
+  testing::internal::CaptureStdout();
+  CheckSameSeed(7, run, same, "toy runs");
+  CheckSameSeed(7, run, same, "validation runs", "validation runs");
+  EXPECT_EQ(testing::internal::GetCapturedStdout(),
+            "determinism check: two same-seed runs identical\n"
+            "determinism check: two same-seed validation runs identical\n");
+  EXPECT_EQ(runs, 4);
+}
+
+TEST(SameSeedCheckDeathTest, AbortsWhenThePredicateReportsDivergence) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  // Each run returns something new: a component that leaked state
+  // between same-seed runs.
+  EXPECT_DEATH(
+      {
+        int calls = 0;
+        CheckSameSeed(
+            7, [&calls](int seed) { return seed + calls++; },
+            [](int a, int b) { return a == b; }, "toy runs");
+      },
+      "FATAL: same-seed toy runs diverged");
 }
 
 TEST(SweepExecutorTest, CommitsInIndexOrderOnCallerThread) {
