@@ -154,7 +154,8 @@ bool SameBufferSizingRun(const BufferSizingResult& a, const BufferSizingResult& 
 int Main(int argc, char** argv) {
   SweepArgs args;
   if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepShards | kSweepSeries,
-                      &args)) {
+                      &args) ||
+      !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
   const bool smoke = args.smoke;

@@ -148,7 +148,8 @@ bool SameFallbackRun(const DiagnosisFallbackResult& a, const DiagnosisFallbackRe
 
 int Main(int argc, char** argv) {
   SweepArgs args;
-  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries, &args)) {
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries, &args) ||
+      !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
   const bool smoke = args.smoke;

@@ -18,8 +18,11 @@
 //      result-fingerprint identity check (parallelism must not change what
 //      any cell computes).
 //   4. Connection memory — resident-set growth per connection for a lean
-//      star fabric (host + NIC + endpoints + estimator), the number that
-//      bounds 1M-connection cells. Linux-only; 0 elsewhere.
+//      star fabric (host + NIC + endpoints + estimator) at set-up, then
+//      bytes per connection at the run peak of the served 100k lean
+//      leaf-spine cell on the classic engine, apps included: the number
+//      that bounds 1M-connection cells. Full mode also runs a
+//      1M-connection cell against a 12 GB peak. Linux-only; 0 elsewhere.
 //   5. Shard scaling — one large lean fleet cell (DESIGN.md §16) run at
 //      --shards=1/2/N, reporting engine events/sec per shard count plus a
 //      result-fingerprint identity check (sharding is an engine detail,
@@ -44,6 +47,7 @@
 //   --shards=N top worker count for the shard-scaling section (default 4).
 //   out.json defaults to BENCH_engine.json in the working directory.
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
@@ -65,6 +69,7 @@
 #include "src/testbed/sweep/harness.h"
 
 #ifdef __linux__
+#include <malloc.h>
 #include <unistd.h>
 #endif
 
@@ -369,11 +374,17 @@ SweepTiming RunScalingSweep(size_t num_cells, int jobs) {
 // identical across the curve — only fabric.shards varies — so any fingerprint
 // divergence is an engine bug, not measurement noise.
 //
-// The fleet runs on a 3-leaf x 2-spine fabric (DESIGN.md §17): with four
+// The fleet runs on a 3-leaf x 2-spine fabric (DESIGN.md §17): with its
 // servers round-robined over the racks, 2/3 of requests cross racks and
 // rendezvous-hash across the spines, and every leaf and spine is its own
 // shard domain — so the old single-switch serialization point is gone and
 // the curve measures the engine, not one hot domain.
+// One server per 25k connections, at least four, so the server side
+// partitions too (one server's domain would serialize every request and
+// cap the achievable speedup) and every server carries the 25 kRPS it does
+// at 100k; at 250k, four servers drown at 62.5 kRPS apiece.
+int FleetServers(int clients) { return std::max(4, clients / 25000); }
+
 FleetExperimentConfig MakeShardScalingCell(bool smoke, int clients, int shards) {
   FleetExperimentConfig config;
   config.fabric = FleetExperimentConfig::DefaultFleetFabric(clients);
@@ -381,9 +392,7 @@ FleetExperimentConfig MakeShardScalingCell(bool smoke, int clients, int shards) 
   config.fabric.num_leaves = 3;
   config.fabric.num_spines = 2;
   config.fabric.trunk_link.bandwidth_bps = 100e9;
-  // Four servers so the server side partitions too; with one server its
-  // domain would serialize every request and cap the achievable speedup.
-  config.fabric.num_servers = 4;
+  config.fabric.num_servers = FleetServers(clients);
   config.fabric.shards = shards;
   config.total_rate_rps = clients;  // ~1 rps per connection: a mostly idle
                                     // production fleet, whose quiet
@@ -519,13 +528,109 @@ MemoryPoint MeasureConnectionMemory(bool smoke) {
   return point;
 }
 
+// Resident-set high-water mark of this process (VmHWM); 0 where
+// unsupported.
+uint64_t PeakRssBytes() {
+#ifdef __linux__
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  char line[256];
+  unsigned long long kb = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
+      break;
+    }
+  }
+  std::fclose(f);
+  return static_cast<uint64_t>(kb) * 1024;
+#else
+  return 0;
+#endif
+}
+
+// Run-memory cells: what a connection costs while a fleet cell runs, apps
+// and in-flight state included, where MeasureConnectionMemory counts
+// set-up only. Each is the shard curve's smoke cell (10 + 50 + 10 ms) on
+// the classic engine (shards = 0), in full mode too, so the gate reads
+// the same cell everywhere. A longer window reads higher: a connection
+// that has carried a request holds state an idle one has not allocated.
+struct RunMemoryPoint {
+  uint64_t connections = 0;
+  uint64_t servers = 0;
+  bool measured = false;
+  uint64_t baseline_bytes = 0;  // Resident set after trimming free memory.
+  uint64_t peak_rss_bytes = 0;  // VmHWM after the cell.
+  double run_seconds = 0;       // Around the simulator run.
+  double call_seconds = 0;      // The whole call: set-up, run and teardown.
+  double offered_krps = 0;
+  double achieved_krps = 0;
+
+  double bytes_per_conn() const {
+    return measured ? static_cast<double>(peak_rss_bytes - baseline_bytes) /
+                          static_cast<double>(connections)
+                    : 0;
+  }
+};
+
+// Run-peak budget per connection at 100k. A LancetClient latency histogram
+// that assigned all 1,002 buckets up front put the cell at ~17.9 KB.
+constexpr double kMaxRunBytesPerConnection = 10 * 1024;
+// The 1M-connection cell (full mode) must fit a 16 GB box with headroom.
+constexpr uint64_t kMaxMillionPeakRssBytes = 12'000'000'000;
+
+RunMemoryPoint MeasureRunMemory(int clients) {
+  RunMemoryPoint point;
+  point.connections = static_cast<uint64_t>(clients);
+#ifdef __linux__
+  // Hand free heap pages back first (as perfbench's ReleaseFreeMemory
+  // does), so the baseline counts live memory only.
+  malloc_trim(0);
+#endif
+  point.baseline_bytes = CurrentRssBytes();
+  const uint64_t peak_before = PeakRssBytes();
+  const FleetExperimentConfig config =
+      MakeShardScalingCell(/*smoke=*/true, clients, /*shards=*/0);
+  point.servers = static_cast<uint64_t>(config.fabric.num_servers);
+  const double start = NowSeconds();
+  const FleetExperimentResult r = RunFleetExperiment(config);
+  point.call_seconds = NowSeconds() - start;
+  point.peak_rss_bytes = PeakRssBytes();
+  point.run_seconds = r.wall_seconds;
+  point.offered_krps = r.offered_krps;
+  point.achieved_krps = r.achieved_krps;
+  // A peak no higher than before the cell was set by earlier work, so it
+  // says nothing about this cell.
+  point.measured = point.baseline_bytes > 0 && point.peak_rss_bytes > peak_before;
+  std::printf(
+      "run memory (%d connections, %d servers, classic engine): peak %.0f MB, %.0f B/conn; run "
+      "%.2f s of a %.2f s call; served %.1f of %.1f kRPS\n",
+      clients, config.fabric.num_servers, static_cast<double>(point.peak_rss_bytes) / 1e6,
+      point.bytes_per_conn(), point.run_seconds, point.call_seconds, point.achieved_krps,
+      point.offered_krps);
+  std::fflush(stdout);
+  if (point.baseline_bytes > 0 && !point.measured) {
+    std::fprintf(stderr, "FATAL: VmHWM did not rise across the %d-connection run-memory cell\n",
+                 clients);
+    std::abort();
+  }
+  if (point.achieved_krps < kMinServedFraction * point.offered_krps) {
+    std::fprintf(stderr, "FATAL: %d-connection run-memory cell served %.1f of %.1f kRPS\n",
+                 clients, point.achieved_krps, point.offered_krps);
+    std::abort();
+  }
+  return point;
+}
+
 int Main(int argc, char** argv) {
   SweepArgs args;
   args.jobs = 4;
   args.shards = 4;
   args.min_shards = 1;
   args.json_path = "BENCH_engine.json";
-  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepShards, &args)) {
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepShards, &args) ||
+      !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
   const bool smoke = args.smoke;
@@ -650,6 +755,21 @@ int Main(int argc, char** argv) {
     }
   } else {
     std::printf("\nconnection memory: not measurable on this platform\n");
+  }
+  std::vector<RunMemoryPoint> run_memory{MeasureRunMemory(100000)};
+  if (run_memory.front().bytes_per_conn() > kMaxRunBytesPerConnection) {
+    std::fprintf(stderr, "FATAL: %.0f B/connection at the run peak exceeds the %.0f B budget\n",
+                 run_memory.front().bytes_per_conn(), kMaxRunBytesPerConnection);
+    std::abort();
+  }
+  if (!smoke) {
+    run_memory.push_back(MeasureRunMemory(1000000));
+    if (run_memory.back().peak_rss_bytes > kMaxMillionPeakRssBytes) {
+      std::fprintf(stderr, "FATAL: the 1M-connection cell peaked at %.0f MB, over %.0f MB\n",
+                   static_cast<double>(run_memory.back().peak_rss_bytes) / 1e6,
+                   static_cast<double>(kMaxMillionPeakRssBytes) / 1e6);
+      std::abort();
+    }
   }
 
   // --- 5. Shard scaling ---
@@ -777,9 +897,25 @@ int Main(int argc, char** argv) {
   json.KV("endpoint_bytes_per_connection", memory.endpoint_bytes_per_conn, 0);
   json.KV("total_bytes_per_connection", memory.total_bytes_per_conn(), 0);
   json.EndObject();
+  json.Key("run_memory").BeginArray();
+  for (const RunMemoryPoint& point : run_memory) {
+    json.BeginObject();
+    json.KV("connections", point.connections);
+    json.KV("servers", point.servers);
+    json.KV("measured", static_cast<uint64_t>(point.measured ? 1 : 0));
+    json.KV("baseline_bytes", point.baseline_bytes);
+    json.KV("peak_rss_bytes", point.peak_rss_bytes);
+    json.KV("bytes_per_connection", point.bytes_per_conn(), 0);
+    json.KV("run_seconds", point.run_seconds, 3);
+    json.KV("call_seconds", point.call_seconds, 3);
+    json.KV("offered_krps", point.offered_krps, 1);
+    json.KV("achieved_krps", point.achieved_krps, 1);
+    json.EndObject();
+  }
+  json.EndArray();
   json.Key("fleet").BeginObject();
   json.KV("connections", static_cast<uint64_t>(fleet_clients));
-  json.KV("servers", static_cast<uint64_t>(4));
+  json.KV("servers", static_cast<uint64_t>(FleetServers(fleet_clients)));
   json.KV("fabric", std::string("leafspine"));
   json.KV("leaves", static_cast<uint64_t>(3));
   json.KV("spines", static_cast<uint64_t>(2));

@@ -99,7 +99,8 @@ int Main(int argc, char** argv) {
   if (!ParseSweepArgs(argc, argv,
                       kSweepSmoke | kSweepJobs | kSweepShards | kSweepTrace | kSweepSeries |
                           kSweepLeafSpine,
-                      &args)) {
+                      &args) ||
+      !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
   PrintBanner(args.leafspine ? "Fleet sweep: clients x server-port buffer (leaf-spine fabric)"

@@ -56,7 +56,7 @@ ImpairmentConfig MakeImpairment(double burst_pkts, double loss_rate, double jitt
 int Main(int argc, char** argv) {
   constexpr uint64_t kSeed = 977;
   SweepArgs args;
-  if (!ParseSweepArgs(argc, argv, kSweepJobs, &args)) {
+  if (!ParseSweepArgs(argc, argv, kSweepJobs, &args) || !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
 

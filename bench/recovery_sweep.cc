@@ -171,7 +171,8 @@ bool SameRecoveryRun(const RecoveryResult& a, const RecoveryResult& b) {
 
 int Main(int argc, char** argv) {
   SweepArgs args;
-  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs, &args)) {
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs, &args) ||
+      !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
   const bool smoke = args.smoke;

@@ -218,7 +218,8 @@ bool SameRobustnessRun(const RobustnessResult& a, const RobustnessResult& b) {
 
 int Main(int argc, char** argv) {
   SweepArgs args;
-  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries, &args)) {
+  if (!ParseSweepArgs(argc, argv, kSweepSmoke | kSweepJobs | kSweepTrace | kSweepSeries, &args) ||
+      !ProbeJsonOutput(args.json_path)) {
     return 1;
   }
   const bool smoke = args.smoke;

@@ -49,8 +49,7 @@ LogHistogram::LogHistogram(double min_value, double max_value, int buckets_per_d
     : min_value_(min_value), log_min_(std::log(min_value)) {
   assert(min_value > 0 && max_value > min_value && buckets_per_decade > 0);
   scale_ = static_cast<double>(buckets_per_decade) / std::log(10.0);
-  const size_t n = static_cast<size_t>((std::log(max_value) - log_min_) * scale_) + 2;
-  counts_.assign(n, 0);
+  num_buckets_ = static_cast<size_t>((std::log(max_value) - log_min_) * scale_) + 2;
 }
 
 size_t LogHistogram::BucketFor(double value) const {
@@ -62,6 +61,21 @@ double LogHistogram::BucketUpper(size_t idx) const {
   return std::exp(log_min_ + static_cast<double>(idx + 1) / scale_);
 }
 
+void LogHistogram::Cover(size_t lo, size_t hi) {
+  if (counts_.empty()) {
+    first_ = lo;
+    counts_.assign(hi - lo + 1, 0);
+    return;
+  }
+  if (lo < first_) {
+    counts_.insert(counts_.begin(), first_ - lo, 0);
+    first_ = lo;
+  }
+  if (hi - first_ >= counts_.size()) {
+    counts_.resize(hi - first_ + 1, 0);
+  }
+}
+
 void LogHistogram::Add(double value) {
   ++count_;
   sum_ += value;
@@ -71,7 +85,7 @@ void LogHistogram::Add(double value) {
     return;
   }
   const size_t idx = BucketFor(value);
-  if (idx >= counts_.size()) {
+  if (idx >= num_buckets_) {
     // Above the configured range: count explicitly instead of silently
     // clamping into the last bucket (which would cap high quantiles at the
     // last bucket's upper bound and misreport the overflow mass as lying
@@ -79,7 +93,8 @@ void LogHistogram::Add(double value) {
     ++overflow_;
     return;
   }
-  ++counts_[idx];
+  Cover(idx, idx);
+  ++counts_[idx - first_];
 }
 
 double LogHistogram::Quantile(double q) const {
@@ -99,7 +114,7 @@ double LogHistogram::Quantile(double q) const {
   for (size_t i = 0; i < counts_.size(); ++i) {
     seen += counts_[i];
     if (seen >= target) {
-      return std::min(BucketUpper(i), max_seen_);
+      return std::min(BucketUpper(first_ + i), max_seen_);
     }
   }
   // The target falls in the overflow tail (above the configured range).
@@ -107,10 +122,14 @@ double LogHistogram::Quantile(double q) const {
 }
 
 void LogHistogram::Merge(const LogHistogram& other) {
-  assert(counts_.size() == other.counts_.size());
+  assert(num_buckets_ == other.num_buckets_);
   assert(min_value_ == other.min_value_ && scale_ == other.scale_);
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
+  if (!other.counts_.empty()) {
+    Cover(other.first_, other.first_ + other.counts_.size() - 1);
+    const size_t offset = other.first_ - first_;
+    for (size_t i = 0; i < other.counts_.size(); ++i) {
+      counts_[offset + i] += other.counts_[i];
+    }
   }
   count_ += other.count_;
   underflow_ += other.underflow_;
@@ -120,7 +139,8 @@ void LogHistogram::Merge(const LogHistogram& other) {
 }
 
 void LogHistogram::Clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
+  counts_.clear();
+  first_ = 0;
   count_ = 0;
   underflow_ = 0;
   overflow_ = 0;

@@ -39,7 +39,11 @@ class RunningStats {
 
 // Log-bucketed histogram for nonnegative values (e.g. latencies in ns).
 // Buckets grow geometrically from `min_value` to `max_value`; queries return
-// an upper bound of the bucket containing the requested quantile.
+// an upper bound of the bucket containing the requested quantile. Only the
+// buckets from the lowest to the highest one a sample has touched are
+// stored (a dense window, as in DDSketch's dense store), so an empty
+// histogram allocates nothing and samples spanning one decade hold about
+// `buckets_per_decade` counts, however wide the configured range.
 class LogHistogram {
  public:
   // `buckets_per_decade` controls resolution (higher = finer, more memory).
@@ -68,10 +72,14 @@ class LogHistogram {
  private:
   size_t BucketFor(double value) const;
   double BucketUpper(size_t idx) const;
+  // Grows the window to include buckets [lo, hi].
+  void Cover(size_t lo, size_t hi);
 
   double min_value_;
   double log_min_;
-  double scale_;  // Buckets per natural-log unit.
+  double scale_;        // Buckets per natural-log unit.
+  size_t num_buckets_;  // Buckets in [min_value, max_value]; above is overflow.
+  size_t first_ = 0;    // counts_[i] is bucket first_ + i.
   std::vector<int64_t> counts_;
   int64_t count_ = 0;
   int64_t underflow_ = 0;

@@ -17,7 +17,7 @@
 //              traffic shares each server's downlink port — the shared
 //              bottleneck queue where fleet-scale batching effects live.
 //              An *incast* topology is a star whose server port buffer is
-//              deliberately small (see FabricConfig::Incast).
+//              deliberately small (set FabricConfig::server_port.buffer_bytes).
 //
 //   kDumbbell  clients -- [ left switch ] ==trunk== [ right switch ] -- servers
 //              As kStar, but clients and servers hang off different

@@ -5,15 +5,6 @@
 
 namespace e2e {
 
-namespace {
-
-bool IsMetaFault(FaultKind kind) {
-  return kind == FaultKind::kMetaWithhold || kind == FaultKind::kMetaDuplicate ||
-         kind == FaultKind::kMetaStaleReplay;
-}
-
-}  // namespace
-
 FaultInjector::FaultInjector(Simulator* sim, FaultSchedule schedule, FaultTargets targets)
     : sim_(sim), schedule_(std::move(schedule)), targets_(std::move(targets)) {
   assert(sim_ != nullptr);

@@ -73,6 +73,27 @@ bool ParseSweepArgs(int argc, const char* const* argv, unsigned accepted, SweepA
   return true;
 }
 
+bool ProbeJsonOutput(const char* path) {
+  if (path == nullptr) {
+    return true;
+  }
+  // Create the file exclusively and remove it again, or open the existing
+  // one for appending: neither truncates anything.
+  if (FILE* created = std::fopen(path, "wx")) {
+    std::fclose(created);
+    std::remove(path);
+    return true;
+  }
+  if (errno == EEXIST) {
+    if (FILE* existing = std::fopen(path, "a")) {
+      std::fclose(existing);
+      return true;
+    }
+  }
+  std::fprintf(stderr, "cannot open %s\n", path);
+  return false;
+}
+
 JsonOutputFile::JsonOutputFile(const char* path) : file_(stdout) {
   if (path != nullptr) {
     file_ = std::fopen(path, "w");

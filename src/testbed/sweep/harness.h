@@ -47,6 +47,13 @@ struct SweepArgs {
 // 1. Any other argument, "-" included, is the JSON output path.
 bool ParseSweepArgs(int argc, const char* const* argv, unsigned accepted, SweepArgs* args);
 
+// Whether JsonOutputFile(path) can open its file, checked before a sweep
+// runs so a bad path fails in a moment instead of after the whole run.
+// Returns false after printing "cannot open <path>". Neither truncates an
+// existing file nor leaves a new one behind, so a run that aborts later
+// leaves the path as it found it. A null path (stdout) is always fine.
+bool ProbeJsonOutput(const char* path);
+
 // The JSON report's stream: stdout when `path` is null, else the file,
 // closed on destruction. get() is null when the file cannot be opened;
 // the constructor has then printed "cannot open <path>".

@@ -9,6 +9,10 @@
 // Each cell runs twice, with a 200 ms and a 600 ms measurement window; the
 // difference cancels set-up, warm-up and drain, leaving the allocations of
 // 400 ms of steady-state traffic per measured request.
+//
+// Bytes are counted too, for what a fleet holds per idle connection: most
+// of a fleet cell's connections carry no request at a given moment, so
+// whatever their apps allocate up front is paid once per connection.
 
 #include <gtest/gtest.h>
 
@@ -16,15 +20,22 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
+#include "src/apps/lancet.h"
+#include "src/apps/redis_server.h"
+#include "src/sim/stats.h"
 #include "src/testbed/experiment.h"
+#include "src/testbed/fleet.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
+std::atomic<uint64_t> g_bytes{0};
 
 void* CountedAlloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
     return p;
   }
@@ -33,6 +44,7 @@ void* CountedAlloc(std::size_t size) {
 
 void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
   // aligned_alloc wants a nonzero size that is a multiple of the alignment.
   const auto a = static_cast<std::size_t>(align);
   const std::size_t rounded = size == 0 ? a : (size + a - 1) / a * a;
@@ -114,6 +126,41 @@ TEST(AllocBudgetTest, PaperCellsStayUnderPerRequestBudget) {
                 static_cast<unsigned long long>(long_run.requests - short_run.requests));
     EXPECT_LE(per_request, kMaxAllocationsPerRequest);
   }
+}
+
+// Bytes allocated to construct one fleet connection's two apps, the app
+// objects included. A latency histogram that assigned its 1,002 buckets
+// up front would add 8,016 B per client.
+constexpr uint64_t kMaxIdleAppBytes = 1536;
+
+TEST(AllocBudgetTest, IdleFleetConnectionAppsStayUnderByteBudget) {
+  // The apps as RunFleetExperiment builds them, on a connected fabric pair.
+  const FleetExperimentConfig fleet;
+  FabricTopology topo(FleetExperimentConfig::DefaultFleetFabric(1));
+  const ConnectedPair conn = topo.Connect(0, 0, 1, RedisExperimentConfig::DefaultClientTcp(),
+                                          RedisExperimentConfig::DefaultServerTcp());
+  RedisServerApp::Config server_config;
+  server_config.costs = fleet.server_costs;
+  LancetClient::Config client_config;
+  client_config.rate_rps = fleet.total_rate_rps / fleet.fabric.num_clients;
+  client_config.mix = fleet.mix;
+  client_config.costs = fleet.client_profiles.front();
+
+  const uint64_t before = g_bytes.load(std::memory_order_relaxed);
+  const auto server = std::make_unique<RedisServerApp>(&topo.sim(), conn.b, server_config);
+  const auto client = std::make_unique<LancetClient>(&topo.sim(), conn.a, client_config);
+  const uint64_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
+  std::printf("idle fleet connection apps: %llu bytes\n", static_cast<unsigned long long>(bytes));
+  EXPECT_LE(bytes, kMaxIdleAppBytes);
+}
+
+TEST(AllocBudgetTest, EmptyHistogramAllocatesNothing) {
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed);
+  const uint64_t bytes = g_bytes.load(std::memory_order_relaxed);
+  const LogHistogram hist{0.1, 1e9, 100};
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed), allocations);
+  EXPECT_EQ(g_bytes.load(std::memory_order_relaxed), bytes);
+  EXPECT_EQ(hist.count(), 0);
 }
 
 }  // namespace

@@ -150,6 +150,129 @@ TEST(LogHistogramTest, MergeCombinesOverflowAndUnderflow) {
   EXPECT_EQ(a.Quantile(1.0), 1e6);
 }
 
+// The bucket window grows on demand, but every way of feeding a histogram
+// the same samples must answer like one histogram fed them in one stream.
+void ExpectSameAsCombined(const LogHistogram& got, const LogHistogram& combined) {
+  EXPECT_EQ(got.count(), combined.count());
+  EXPECT_EQ(got.underflow(), combined.underflow());
+  EXPECT_EQ(got.overflow(), combined.overflow());
+  EXPECT_EQ(got.max_seen(), combined.max_seen());
+  for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(got.Quantile(q), combined.Quantile(q)) << "q=" << q;
+  }
+}
+
+TEST(LogHistogramWindowTest, DescendingStreamGrowsTheWindowLeft) {
+  LogHistogram descending(0.1, 1e9, 100);
+  LogHistogram ascending(0.1, 1e9, 100);
+  std::vector<double> xs;
+  for (double x = 3e6; x > 0.5; x *= 0.93) {
+    xs.push_back(x);
+  }
+  for (double x : xs) {
+    descending.Add(x);
+  }
+  for (auto it = xs.rbegin(); it != xs.rend(); ++it) {
+    ascending.Add(*it);
+  }
+  ExpectSameAsCombined(descending, ascending);
+  EXPECT_NEAR(descending.Quantile(0.0), xs.back(), xs.back() * 0.03);
+  EXPECT_EQ(descending.Quantile(1.0), xs.front());
+}
+
+TEST(LogHistogramWindowTest, SamplesAtBothEndsOfTheRange) {
+  // On 0.1..1e9, 0.1 lands in bucket 0 and 1e9 in the top in-range one.
+  LogHistogram low(0.1, 1e9, 100);
+  LogHistogram high(0.1, 1e9, 100);
+  LogHistogram combined(0.1, 1e9, 100);
+  for (int i = 0; i < 50; ++i) {
+    const double small = 0.1 + 0.001 * i;
+    const double large = 1e9 - 1e5 * i;
+    low.Add(small);
+    high.Add(large);
+    combined.Add(large);
+    combined.Add(small);
+  }
+  EXPECT_EQ(combined.underflow(), 0);
+  EXPECT_EQ(combined.overflow(), 0);
+  low.Merge(high);
+  ExpectSameAsCombined(low, combined);
+  EXPECT_NEAR(combined.Quantile(0.0), 0.1, 0.1 * 0.03);
+  EXPECT_EQ(combined.Quantile(1.0), 1e9);
+}
+
+TEST(LogHistogramWindowTest, MergeOfDisjointWindows) {
+  Rng rng(7);
+  LogHistogram fast(0.1, 1e9, 100);
+  LogHistogram slow(0.1, 1e9, 100);
+  LogHistogram combined(0.1, 1e9, 100);
+  for (int i = 0; i < 2000; ++i) {
+    const double x = 10 + 90 * rng.Uniform01();
+    const double y = 1e5 + 9e5 * rng.Uniform01();
+    fast.Add(x);
+    slow.Add(y);
+    combined.Add(x);
+    combined.Add(y);
+  }
+  LogHistogram slow_first = slow;
+  slow_first.Merge(fast);  // Grows the window left.
+  fast.Merge(slow);        // Grows the window right.
+  ExpectSameAsCombined(fast, combined);
+  ExpectSameAsCombined(slow_first, combined);
+}
+
+TEST(LogHistogramWindowTest, MergeIntoEmptyHistogram) {
+  LogHistogram source(0.1, 1e9, 100);
+  for (double x : {3.0, 40.0, 41.0, 7e4}) {
+    source.Add(x);
+  }
+  source.Add(0.01);  // Underflow.
+  source.Add(2e9);   // Overflow.
+  LogHistogram empty(0.1, 1e9, 100);
+  empty.Merge(source);
+  ExpectSameAsCombined(empty, source);
+}
+
+TEST(LogHistogramWindowTest, ClearThenReuse) {
+  LogHistogram reused(0.1, 1e9, 100);
+  for (double x : {5e5, 6e5, 7e5, 0.01, 5e9}) {
+    reused.Add(x);
+  }
+  reused.Clear();
+  LogHistogram fresh(0.1, 1e9, 100);
+  for (double x : {2.0, 30.0, 31.0, 400.0}) {
+    reused.Add(x);
+    fresh.Add(x);
+  }
+  ExpectSameAsCombined(reused, fresh);
+  EXPECT_DOUBLE_EQ(reused.mean(), fresh.mean());
+}
+
+TEST(LogHistogramWindowTest, UnderflowOnlyAndOverflowOnly) {
+  LogHistogram under_a(10.0, 1e3, 10);
+  LogHistogram under_b(10.0, 1e3, 10);
+  LogHistogram under(10.0, 1e3, 10);
+  LogHistogram over_a(10.0, 1e3, 10);
+  LogHistogram over_b(10.0, 1e3, 10);
+  LogHistogram over(10.0, 1e3, 10);
+  for (int i = 1; i <= 6; ++i) {
+    (i % 2 == 0 ? under_a : under_b).Add(i);
+    under.Add(i);
+    (i % 2 == 0 ? over_a : over_b).Add(1e4 * i);
+    over.Add(1e4 * i);
+  }
+  under_a.Merge(under_b);
+  over_a.Merge(over_b);
+  ExpectSameAsCombined(under_a, under);
+  ExpectSameAsCombined(over_a, over);
+  EXPECT_EQ(under.underflow(), 6);
+  EXPECT_EQ(over.overflow(), 6);
+  for (double q : {0.0, 0.01, 0.5, 0.99, 1.0}) {
+    EXPECT_EQ(under.Quantile(q), 10.0) << "q=" << q;  // min_value.
+    EXPECT_EQ(over.Quantile(q), 6e4) << "q=" << q;    // max_seen.
+  }
+}
+
 TEST(TimeWeightedTest, PaperWorkedExample) {
   // 1 item for 10 us then 4 items for 20 us -> average 3.
   TimeWeighted tw(TimePoint::Zero(), 1.0);

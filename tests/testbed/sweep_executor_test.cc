@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -169,14 +170,41 @@ TEST(SweepArgsTest, KeepsTheCallersDefaults) {
 
 TEST(SweepOutputTest, UnwritablePathsReportAndFail) {
   testing::internal::CaptureStderr();
+  EXPECT_FALSE(ProbeJsonOutput("no-such-dir/out.json"));
   const JsonOutputFile missing_dir("no-such-dir/out.json");
   EXPECT_EQ(missing_dir.get(), nullptr);
   EXPECT_FALSE(WriteSeriesFile(nullptr, "s.csv"));
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
-            "cannot open no-such-dir/out.json\ncannot write s.csv\n");
+            "cannot open no-such-dir/out.json\ncannot open no-such-dir/out.json\n"
+            "cannot write s.csv\n");
 
+  EXPECT_TRUE(ProbeJsonOutput(nullptr));
   const JsonOutputFile to_stdout(nullptr);
   EXPECT_EQ(to_stdout.get(), stdout);
+}
+
+// A sweep probes its JSON path before it runs and may still abort before
+// writing it, so the probe must leave the path as it found it.
+TEST(SweepOutputTest, ProbeLeavesThePathAsItFoundIt) {
+  const char* existing = "probe_existing.json";
+  {
+    const JsonOutputFile out(existing);
+    ASSERT_NE(out.get(), nullptr);
+    std::fputs("{\"kept\": 1}\n", out.get());
+  }
+  EXPECT_TRUE(ProbeJsonOutput(existing));
+  std::FILE* in = std::fopen(existing, "r");
+  ASSERT_NE(in, nullptr);
+  char contents[32] = {};
+  EXPECT_EQ(std::fread(contents, 1, sizeof(contents) - 1, in), 12u);
+  std::fclose(in);
+  EXPECT_STREQ(contents, "{\"kept\": 1}\n");
+  std::remove(existing);
+
+  const char* fresh = "probe_fresh.json";
+  std::remove(fresh);
+  EXPECT_TRUE(ProbeJsonOutput(fresh));
+  EXPECT_EQ(std::fopen(fresh, "r"), nullptr);
 }
 
 TEST(SweepOutputTest, TraceRecordsOnlyTheTracedCell) {
