@@ -3,11 +3,9 @@
 // Five layers, one JSON artifact (BENCH_engine.json):
 //
 //   1. Event-queue microbench — events/sec through the slot-based
-//      EventQueue (src/sim/event_queue.h) vs. the hash-map baseline it
-//      replaced (embedded below verbatim), on a schedule/pop ring and a
-//      schedule/cancel/pop churn workload. Callbacks carry a Packet-sized
-//      capture so the baseline pays its real-world std::function heap
-//      allocation and the slot store shows its inline-storage win. A third
+//      EventQueue (src/sim/event_queue.h) on a schedule/pop ring and a
+//      schedule/cancel/pop churn workload, with Packet-sized captures (that
+//      these cost no allocation is tested in alloc_budget_test). A third
 //      workload re-arms a long timer around a few live short events (the
 //      TCP retransmit-timer pattern) and records how many heap records the
 //      queue holds for them.
@@ -33,9 +31,9 @@
 // Wall-clock numbers are inherently machine-dependent; the JSON is a perf
 // artifact, not part of the byte-determinism contract. CI runs
 // `engine_perf --smoke`, uploads BENCH_engine.json, and asserts the
-// events/sec *ratios* from it (slot vs. legacy queue; 1-shard vs. N-shard
-// and jobs=1 vs. jobs=N on multi-core runners) plus the re-arm workload's
-// heap-record count — never raw wall times.
+// events/sec *ratios* from it (1-shard vs. N-shard and jobs=1 vs. jobs=N
+// on multi-core runners) plus the re-arm workload's heap-record count —
+// never raw wall times.
 // Because ratio gates on loaded CI runners are noisy, a measurement whose
 // ratio lands under its gate is re-measured once and the better ratio is
 // kept (the retry is recorded in the JSON).
@@ -53,12 +51,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -77,97 +71,9 @@ namespace e2e {
 namespace {
 
 // ---------------------------------------------------------------------------
-// The pre-slot-store EventQueue, kept verbatim as the microbench baseline:
-// std::function callbacks in an unordered_map, cancellation via an
-// unordered_set — one heap allocation (for Packet-sized captures) plus two
-// hash inserts per scheduled event.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void()>;
-  // The legacy integer id type (the real EventQueue moved to a struct id
-  // with a 64-bit generation; this baseline keeps its own scheme).
-  using Id = uint64_t;
-
-  Id Push(TimePoint when, Callback cb) {
-    const Id id = next_id_++;
-    heap_.push(HeapItem{when, next_seq_++, id});
-    callbacks_.emplace(id, std::move(cb));
-    return id;
-  }
-
-  bool Cancel(Id id) {
-    auto it = callbacks_.find(id);
-    if (it == callbacks_.end()) {
-      return false;
-    }
-    callbacks_.erase(it);
-    canceled_.insert(id);
-    return true;
-  }
-
-  bool Empty() {
-    SkipCanceled();
-    return heap_.empty();
-  }
-
-  TimePoint NextTime() {
-    SkipCanceled();
-    return heap_.top().when;
-  }
-
-  struct Entry {
-    TimePoint when;
-    Id id = 0;
-    Callback cb;
-  };
-  Entry Pop() {
-    SkipCanceled();
-    const HeapItem item = heap_.top();
-    heap_.pop();
-    auto it = callbacks_.find(item.id);
-    Entry entry{item.when, item.id, std::move(it->second)};
-    callbacks_.erase(it);
-    return entry;
-  }
-
- private:
-  struct HeapItem {
-    TimePoint when;
-    uint64_t seq = 0;
-    Id id = 0;
-  };
-  struct Later {
-    bool operator()(const HeapItem& a, const HeapItem& b) const {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
-  };
-
-  void SkipCanceled() {
-    while (!heap_.empty()) {
-      auto it = canceled_.find(heap_.top().id);
-      if (it == canceled_.end()) {
-        return;
-      }
-      canceled_.erase(it);
-      heap_.pop();
-    }
-  }
-
-  std::priority_queue<HeapItem, std::vector<HeapItem>, Later> heap_;
-  std::unordered_map<Id, Callback> callbacks_;
-  std::unordered_set<Id> canceled_;
-  uint64_t next_seq_ = 0;
-  Id next_id_ = 1;
-};
-
-// ---------------------------------------------------------------------------
 // Microbench workloads. The capture ballast matches the event loop's
-// dominant closure (a `this` pointer plus a moved-in Packet, ~72 bytes):
-// large enough to defeat std::function's 16-byte SBO, small enough to stay
-// inline in InlineCallback.
+// dominant closure (a `this` pointer plus a moved-in Packet, ~72 bytes),
+// which stays inline in InlineCallback.
 struct CaptureBallast {
   std::array<unsigned char, 64> bytes{};
 };
@@ -182,9 +88,8 @@ constexpr size_t kRingDepth = 1024;  // Pending events held during the loops.
 // Steady-state schedule+pop: keep kRingDepth events pending, each iteration
 // pops the earliest and schedules a replacement. Returns ns per
 // schedule+pop pair.
-template <typename Queue>
 double SchedulePopNs(size_t ops) {
-  Queue q;
+  EventQueue q;
   uint64_t sum = 0;
   CaptureBallast ballast;
   ballast.bytes[0] = 1;
@@ -218,9 +123,8 @@ double SchedulePopNs(size_t ops) {
 // Schedule/cancel/pop churn: each iteration schedules two events, cancels
 // the later one (the timer-rearm pattern TCP retransmit/delack timers
 // generate), and pops one. Returns ns per iteration.
-template <typename Queue>
 double ScheduleCancelPopNs(size_t ops) {
-  Queue q;
+  EventQueue q;
   uint64_t sum = 0;
   CaptureBallast ballast;
   ballast.bytes[0] = 1;
@@ -644,56 +548,12 @@ int Main(int argc, char** argv) {
 
   // --- 1. Event-queue microbench ---
   const size_t ops = smoke ? 400000 : 2000000;
-  // Warm both allocators/caches once before the measured passes.
-  SchedulePopNs<EventQueue>(ops / 10);
-  SchedulePopNs<LegacyEventQueue>(ops / 10);
-
-  double slot_pop_ns = SchedulePopNs<EventQueue>(ops);
-  double legacy_pop_ns = SchedulePopNs<LegacyEventQueue>(ops);
-  double slot_cancel_ns = ScheduleCancelPopNs<EventQueue>(ops);
-  double legacy_cancel_ns = ScheduleCancelPopNs<LegacyEventQueue>(ops);
-  double pop_speedup = legacy_pop_ns / slot_pop_ns;
-  double cancel_speedup = legacy_cancel_ns / slot_cancel_ns;
-  // CI gates on these ratios (perf-smoke: pop >= 1.0, cancel >= 1.3; the
-  // 4-ary store trades some of the old cancel headroom for making the
-  // dominant schedule/pop path at least match the legacy heap).
-  // Ratios absorb machine speed but not scheduler noise bursts, so a
-  // below-gate ratio earns exactly one re-measurement; the better ratio is
-  // kept and the retry is recorded in the JSON.
-  bool queue_retried = false;
-  if (pop_speedup < 1.0 || cancel_speedup < 1.3) {
-    queue_retried = true;
-    const double slot_pop2 = SchedulePopNs<EventQueue>(ops);
-    const double legacy_pop2 = SchedulePopNs<LegacyEventQueue>(ops);
-    const double slot_cancel2 = ScheduleCancelPopNs<EventQueue>(ops);
-    const double legacy_cancel2 = ScheduleCancelPopNs<LegacyEventQueue>(ops);
-    if (legacy_pop2 / slot_pop2 > pop_speedup) {
-      slot_pop_ns = slot_pop2;
-      legacy_pop_ns = legacy_pop2;
-      pop_speedup = legacy_pop2 / slot_pop2;
-    }
-    if (legacy_cancel2 / slot_cancel2 > cancel_speedup) {
-      slot_cancel_ns = slot_cancel2;
-      legacy_cancel_ns = legacy_cancel2;
-      cancel_speedup = legacy_cancel2 / slot_cancel2;
-    }
-  }
-
-  Table micro({"workload", "slot_ns", "legacy_ns", "slot_Mev_s", "legacy_Mev_s", "speedup"});
-  micro.Row()
-      .Cell("schedule+pop")
-      .Num(slot_pop_ns, 1)
-      .Num(legacy_pop_ns, 1)
-      .Num(1e3 / slot_pop_ns, 2)
-      .Num(1e3 / legacy_pop_ns, 2)
-      .Cell(FormatFactor(pop_speedup));
-  micro.Row()
-      .Cell("sched+cancel+pop")
-      .Num(slot_cancel_ns, 1)
-      .Num(legacy_cancel_ns, 1)
-      .Num(1e3 / slot_cancel_ns, 2)
-      .Num(1e3 / legacy_cancel_ns, 2)
-      .Cell(FormatFactor(cancel_speedup));
+  SchedulePopNs(ops / 10);  // Warm the allocator and caches once.
+  const double pop_ns = SchedulePopNs(ops);
+  const double cancel_ns = ScheduleCancelPopNs(ops);
+  Table micro({"workload", "ns", "Mev_s"});
+  micro.Row().Cell("schedule+pop").Num(pop_ns, 1).Num(1e3 / pop_ns, 2);
+  micro.Row().Cell("sched+cancel+pop").Num(cancel_ns, 1).Num(1e3 / cancel_ns, 2);
   micro.Print();
   const RearmChurn rearm = MeasureRearmChurn(ops);
   std::printf("re-arm churn: %.1f ns/op, %zu live events held in %zu heap records\n",
@@ -864,18 +724,12 @@ int Main(int argc, char** argv) {
   json.Key("queue").BeginObject();
   json.KV("ops", static_cast<uint64_t>(ops));
   json.KV("ring_depth", static_cast<uint64_t>(kRingDepth));
-  json.KV("slot_schedule_pop_ns", slot_pop_ns, 2);
-  json.KV("legacy_schedule_pop_ns", legacy_pop_ns, 2);
-  json.KV("slot_schedule_pop_events_per_sec", 1e9 / slot_pop_ns, 0);
-  json.KV("legacy_schedule_pop_events_per_sec", 1e9 / legacy_pop_ns, 0);
-  json.KV("schedule_pop_speedup", pop_speedup, 3);
-  json.KV("slot_schedule_cancel_pop_ns", slot_cancel_ns, 2);
-  json.KV("legacy_schedule_cancel_pop_ns", legacy_cancel_ns, 2);
-  json.KV("schedule_cancel_pop_speedup", cancel_speedup, 3);
+  json.KV("schedule_pop_ns", pop_ns, 2);
+  json.KV("schedule_pop_events_per_sec", 1e9 / pop_ns, 0);
+  json.KV("schedule_cancel_pop_ns", cancel_ns, 2);
   json.KV("rearm_ns", rearm.ns_per_op, 2);
   json.KV("rearm_live", static_cast<uint64_t>(rearm.live));
   json.KV("rearm_heap_records", static_cast<uint64_t>(rearm.heap_records));
-  json.KV("retried", static_cast<uint64_t>(queue_retried ? 1 : 0));
   json.EndObject();
   json.Key("cell").BeginObject();
   json.KV("wall_ms", cell_wall_ms, 2);

@@ -24,6 +24,18 @@ int64_t ParseInt(std::string_view s) {
   return value;
 }
 
+// Appends "<type><body>\r\n" piece by piece: the equivalent
+// `"<type>" + std::string(...)` trips a false-positive -Wrestrict in GCC 12.
+void AppendLine(std::string& out, char type, std::string_view body) {
+  out.append(1, type).append(body).append("\r\n");
+}
+
+std::string Line(char type, std::string_view body) {
+  std::string out;
+  AppendLine(out, type, body);
+  return out;
+}
+
 }  // namespace
 
 size_t RespBulkSize(size_t payload_len) {
@@ -44,25 +56,24 @@ size_t RespGetCommandSize(size_t key_len) {
 size_t RespBulkReplySize(size_t value_len) { return RespBulkSize(value_len); }
 
 std::string RespEncodeCommand(const std::vector<std::string_view>& args) {
-  std::string out = "*" + std::to_string(args.size()) + "\r\n";
+  std::string out;
+  AppendLine(out, '*', std::to_string(args.size()));
   for (std::string_view arg : args) {
-    out += "$" + std::to_string(arg.size()) + "\r\n";
+    AppendLine(out, '$', std::to_string(arg.size()));
     out.append(arg);
     out += "\r\n";
   }
   return out;
 }
 
-std::string RespEncodeSimpleString(std::string_view s) {
-  return "+" + std::string(s) + "\r\n";
-}
+std::string RespEncodeSimpleString(std::string_view s) { return Line('+', s); }
 
-std::string RespEncodeError(std::string_view msg) { return "-" + std::string(msg) + "\r\n"; }
+std::string RespEncodeError(std::string_view msg) { return Line('-', msg); }
 
-std::string RespEncodeInteger(int64_t v) { return ":" + std::to_string(v) + "\r\n"; }
+std::string RespEncodeInteger(int64_t v) { return Line(':', std::to_string(v)); }
 
 std::string RespEncodeBulk(std::string_view payload) {
-  std::string out = "$" + std::to_string(payload.size()) + "\r\n";
+  std::string out = Line('$', std::to_string(payload.size()));
   out.append(payload);
   out += "\r\n";
   return out;

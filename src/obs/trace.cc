@@ -4,8 +4,6 @@
 
 namespace e2e {
 
-thread_local TraceRecorder* g_trace_recorder = nullptr;
-
 void SetCurrentTrace(TraceRecorder* recorder) { g_trace_recorder = recorder; }
 
 const char* TraceCategoryName(TraceCategory category) {

@@ -125,8 +125,10 @@ class TraceRecorder {
 // nullptr and every hook reduces to one pointer load + compare. A recorder
 // is never shared across threads: binding is per-thread, so a traced cell
 // records only its own simulation no matter how many run concurrently.
+// Inline in the header for the same reason as sim_internal::g_exec
+// (src/sim/simulator.h): reads need no TLS-init call.
 
-extern thread_local TraceRecorder* g_trace_recorder;
+inline thread_local TraceRecorder* g_trace_recorder = nullptr;
 
 inline TraceRecorder* CurrentTrace() { return g_trace_recorder; }
 void SetCurrentTrace(TraceRecorder* recorder);

@@ -9,10 +9,6 @@
 
 namespace e2e {
 
-namespace sim_internal {
-thread_local ExecContext g_exec;
-}  // namespace sim_internal
-
 namespace {
 // Spin iterations before falling back to a condition variable at the two
 // barrier edges. Epochs are short (microseconds of real time), so a brief

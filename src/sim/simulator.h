@@ -67,7 +67,10 @@ struct ExecContext {
   uint32_t domain_id = 0;
   bool parallel = false;  // True only while a worker runs an epoch.
 };
-extern thread_local ExecContext g_exec;
+// Defined here, not in a .cc: every translation unit then sees the constant
+// initializer and reads the variable directly, without the weak TLS-init
+// call that GCC 12's UBSan null check flags.
+inline thread_local ExecContext g_exec;
 
 }  // namespace sim_internal
 

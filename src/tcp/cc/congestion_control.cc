@@ -20,18 +20,6 @@ const char* CcAlgorithmName(CcAlgorithm algorithm) {
   return "?";
 }
 
-const char* CcStateName(CcState state) {
-  switch (state) {
-    case CcState::kSlowStart:
-      return "slow_start";
-    case CcState::kAvoidance:
-      return "avoidance";
-    case CcState::kCwr:
-      return "cwr";
-  }
-  return "?";
-}
-
 CongestionControlAlgorithm::CongestionControlAlgorithm(const CcConfig& config)
     : config_(config),
       cwnd_(static_cast<uint64_t>(config.initial_window_segments) * config.mss),

@@ -61,8 +61,6 @@ enum class CcState {
   kCwr = 2,         // Within one RTT of a congestion reaction.
 };
 
-const char* CcStateName(CcState state);
-
 struct CcConfig {
   bool enabled = true;
   CcAlgorithm algorithm = CcAlgorithm::kReno;

@@ -6,21 +6,12 @@
 #include <memory>
 #include <utility>
 
-#include "src/obs/trace.h"
 #include "src/sim/logging.h"
 #include "src/tcp/segment_codec.h"
 #include "src/tcp/sequence.h"
 
 namespace e2e {
 namespace {
-
-// Track name for one endpoint: "conn<N>/client" or "conn<N>/server".
-uint32_t EndpointTrack(TraceRecorder* tr, uint64_t conn_id, bool is_a) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "conn%llu/%s", static_cast<unsigned long long>(conn_id),
-                is_a ? "client" : "server");
-  return tr->Track(name);
-}
 
 // The wire clock wraps every 2^32 us and a delta above 2^31 us reads as a
 // wrap violation (src/core/wire_format.h), which would lock the peer's
@@ -44,6 +35,7 @@ TcpEndpoint::TcpEndpoint(Simulator* sim, Host* host, uint64_t conn_id, bool is_a
         return cc;
       }())),
       rtt_(config.rtt),
+      recovery_(MakeLossRecovery(config)),
       last_rx_(sim->Now()),
       queues_(sim->Now()),
       estimator_(config.e2e_mode),
@@ -83,7 +75,7 @@ void TcpEndpoint::Shutdown() {
   CancelTimer(persist_timer_);
   CancelTimer(delack_timer_);
   CancelTimer(exchange_timer_);
-  CancelTimer(rack_timer_);
+  CancelTimer(recheck_timer_);
   CancelTimer(keepalive_timer_);
   force_exchange_ = false;
   exchange_parked_ = false;
@@ -123,11 +115,7 @@ bool TcpEndpoint::SendBatch(std::vector<BatchItem> items) {
   }
   stats_.bytes_queued += total;
   if (TraceRecorder* tr = TraceIf(TraceCategory::kSyscall)) {
-    TraceEvent e;
-    e.time = sim_->Now();
-    e.category = TraceCategory::kSyscall;
-    e.name = "send";
-    e.track = EndpointTrack(tr, conn_id_, is_a_);
+    TraceEvent e = TraceOn(tr, TraceCategory::kSyscall, "send");
     e.k1 = "bytes";
     e.v1 = static_cast<double>(total);
     e.k2 = "messages";
@@ -161,11 +149,7 @@ TcpEndpoint::RecvResult TcpEndpoint::Recv(uint64_t max_bytes) {
   if (consumed.bytes > 0) {
     ++stats_.recvs;
     if (TraceRecorder* tr = TraceIf(TraceCategory::kSyscall)) {
-      TraceEvent e;
-      e.time = sim_->Now();
-      e.category = TraceCategory::kSyscall;
-      e.name = "recv";
-      e.track = EndpointTrack(tr, conn_id_, is_a_);
+      TraceEvent e = TraceOn(tr, TraceCategory::kSyscall, "recv");
       e.k1 = "bytes";
       e.v1 = static_cast<double>(consumed.bytes);
       e.k2 = "messages";
@@ -258,36 +242,27 @@ void TcpEndpoint::PlanPush(PushReason reason, std::vector<PlannedPacket>& packet
     return;  // Work submitted before Shutdown() plans nothing.
   }
 
-  // SACK hole repair comes before new data: retransmit lost scoreboard
-  // entries, gated on the RFC 6675 pipe. The first repair is exempt (the
-  // rescue retransmission) so the head hole always moves even when the
-  // pipe estimate is pessimistic; repairs stay ack-clocked because each
+  // Hole repair comes before new data: retransmit what the policy marked
+  // lost, gated on its pipe. The first repair is exempt (the rescue
+  // retransmission) so the head hole always moves even when the pipe
+  // estimate is pessimistic; repairs stay ack-clocked because each
   // PlanPush runs from one ack or timer.
-  if (config_.features.sack && lost_bytes_ > 0) {
-    const uint64_t window = std::min(peer_rwnd_, cc_->window_bytes());
-    bool first_repair = true;
-    for (auto& [start, entry] : scoreboard_) {
-      if (lost_bytes_ == 0) {
-        break;
-      }
-      if (!entry.lost) {
-        continue;
-      }
-      const uint64_t len = entry.end - start;
-      if (!first_repair && PipeBytes() + len > window) {
-        break;
-      }
-      first_repair = false;
-      ++stats_.sack_retransmits;
-      timed_end_.reset();  // Karn: no timed sample across a retransmission.
-      // RecordSent (inside BuildPacketFor) clears entry.lost and re-stamps
-      // its send time, so the pipe re-counts it and RACK can condemn a
-      // lost retransmission again.
-      packets.push_back(BuildPacketFor(start, len, /*is_retransmit=*/true));
+  const uint64_t repair_window = std::min(peer_rwnd_, cc_->window_bytes());
+  for (std::optional<SeqRange> hole = recovery_->NextRepair(0); hole.has_value();
+       hole = recovery_->NextRepair(hole->end)) {
+    const uint64_t len = hole->end - hole->start;
+    if (!packets.empty() && PipeBytes() + len > repair_window) {
+      break;
     }
-    if (!packets.empty()) {
-      ArmRtoTimer();
-    }
+    ++stats_.sack_retransmits;
+    timed_end_.reset();  // Karn: no timed sample across a retransmission.
+    // The send (inside BuildPacketFor) clears the lost mark and re-stamps
+    // the send time, so the pipe re-counts it and RACK can condemn a lost
+    // retransmission again.
+    packets.push_back(BuildPacketFor(hole->start, len, /*is_retransmit=*/true));
+  }
+  if (!packets.empty()) {
+    ArmRtoTimer();
   }
 
   while (true) {
@@ -297,11 +272,7 @@ void TcpEndpoint::PlanPush(PushReason reason, std::vector<PlannedPacket>& packet
       break;
     }
     const uint64_t window = std::min(peer_rwnd_, cc_->window_bytes());
-    // With a scoreboard, sacked/lost bytes no longer occupy the pipe, so
-    // recovery keeps the link filled instead of stalling on in-flight
-    // accounting that counts delivered-but-unacked data.
-    const uint64_t in_flight =
-        config_.features.sack ? PipeBytes() : snd_nxt_ - sndq_.head_offset();
+    const uint64_t in_flight = PipeBytes();
     const uint64_t window_avail = window > in_flight ? window - in_flight : 0;
     const uint64_t usable = std::min(pending, window_avail);
     if (usable == 0) {
@@ -356,7 +327,7 @@ void TcpEndpoint::PlanPush(PushReason reason, std::vector<PlannedPacket>& packet
         (force_exchange_ || (config_.e2e_exchange_interval > Duration::Zero() &&
                              sim_->Now() - last_exchange_sent_ >= config_.e2e_exchange_interval));
     if (ack_due || window_update || exchange_due) {
-      packets.push_back(BuildPureAck(exchange_due));
+      packets.push_back(BuildPureAck(exchange_due, snd_nxt_));
     }
   }
 }
@@ -469,11 +440,7 @@ void TcpEndpoint::StampOutgoing(TcpSegment& seg, bool force_exchange) {
     tracked_since_exchange_ = false;
     ++stats_.exchanges_sent;
     if (TraceRecorder* tr = TraceIf(TraceCategory::kEstimator)) {
-      TraceEvent e;
-      e.time = sim_->Now();
-      e.category = TraceCategory::kEstimator;
-      e.name = "exchange_sent";
-      e.track = EndpointTrack(tr, conn_id_, is_a_);
+      TraceEvent e = TraceOn(tr, TraceCategory::kEstimator, "exchange_sent");
       e.k1 = "has_hint";
       e.v1 = seg.e2e_option->hint.has_value() ? 1.0 : 0.0;
       tr->Record(e);
@@ -522,7 +489,7 @@ TcpEndpoint::PlannedPacket TcpEndpoint::BuildPacketFor(uint64_t start, uint64_t 
       seg->flags |= kFlagPsh;
     }
     stamp(*seg);
-    RecordSent(start, start + take, is_retransmit);
+    recovery_->OnSent(start, start + take, is_retransmit, sim_->Now());
     packet.payload = std::move(seg);
   } else {
     // TSO super-segment: the stack pays one TX cost; the NIC emits the
@@ -540,7 +507,7 @@ TcpEndpoint::PlannedPacket TcpEndpoint::BuildPacketFor(uint64_t start, uint64_t 
         seg->flags |= kFlagPsh;
       }
       stamp(*seg);
-      RecordSent(start + off, start + off + slice_len, is_retransmit);
+      recovery_->OnSent(start + off, start + off + slice_len, is_retransmit, sim_->Now());
       slice.payload = std::move(seg);
       packet.slices.push_back(std::move(slice));
     }
@@ -563,7 +530,7 @@ TcpEndpoint::PlannedPacket TcpEndpoint::BuildDataPacket(uint64_t take) {
   const uint64_t start = snd_nxt_;
   // After an RTO rewind the normal send path re-covers old sequence space;
   // those segments are retransmissions (counted as such, never RTT-timed).
-  const bool is_retransmit = in_recovery_ && start < recovery_point_;
+  const bool is_retransmit = recovery_->Resends(start);
   PlannedPacket planned = BuildPacketFor(start, take, is_retransmit);
   snd_nxt_ += take;
   // With timestamps on, every ack carries a Karn-safe sample (tsecr); the
@@ -588,9 +555,9 @@ TcpEndpoint::PlannedPacket TcpEndpoint::BuildRetransmit() {
   return BuildPacketFor(start, take, /*is_retransmit=*/true);
 }
 
-TcpEndpoint::PlannedPacket TcpEndpoint::BuildPureAck(bool force_exchange) {
+TcpEndpoint::PlannedPacket TcpEndpoint::BuildPureAck(bool force_exchange, uint64_t seq) {
   auto seg = std::make_shared<TcpSegment>();
-  seg->seq = WrapSeq(snd_nxt_);
+  seg->seq = WrapSeq(seq);
   seg->len = 0;
   StampOutgoing(*seg, force_exchange);
   Packet packet;
@@ -656,11 +623,7 @@ void TcpEndpoint::HandleSegment(const TcpSegment& seg, bool ecn_ce) {
         ResumeExchangeTimer();  // The peer's queues moved: so do ours.
       }
       if (TraceRecorder* tr = TraceIf(TraceCategory::kEstimator)) {
-        TraceEvent e;
-        e.time = sim_->Now();
-        e.category = TraceCategory::kEstimator;
-        e.name = "exchange_rx";
-        e.track = EndpointTrack(tr, conn_id_, is_a_);
+        TraceEvent e = TraceOn(tr, TraceCategory::kEstimator, "exchange_rx");
         e.k1 = "verdict";
         e.v1 = static_cast<double>(estimator_.last_verdict());
         e.k2 = "has_estimate";
@@ -712,9 +675,10 @@ void TcpEndpoint::ProcessAck(const TcpSegment& seg) {
   if (peer_rwnd_ >= config_.mss) {
     persist_backoff_shift_ = 0;  // Window reopened; probe pacing resets.
   }
+  const TimePoint now = sim_->Now();
   // SACK blocks first: they refine the scoreboard the loss detector and
   // the pipe both reason over, whatever the cumulative ack does.
-  const bool newly_sacked = ApplySackBlocks(seg, una);
+  const bool newly_sacked = recovery_->OnSackBlocks(seg.sack, una);
   // Any congestion reaction during this ack (ECN echo, fast retransmit, a
   // DCTCP window rollover) is announced to the peer with CWR, which is what
   // Linux does on every cwnd-reduction event when ECN is negotiated.
@@ -723,57 +687,12 @@ void TcpEndpoint::ProcessAck(const TcpSegment& seg) {
     ++stats_.ece_received;
     // Before OnAck, with the same byte count (interface convention): DCTCP
     // attributes these bytes to its marked tally.
-    cc_->OnEcnEcho(ack_off > una ? ack_off - una : 0, sim_->Now());
+    cc_->OnEcnEcho(ack_off > una ? ack_off - una : 0, now);
   }
   if (ack_off > una) {
-    dup_acks_ = 0;
-    tlp_out_ = false;         // Forward progress starts a fresh flight.
-    consecutive_rtos_ = 0;    // R2 accounting resets on progress.
-    if (config_.features.sack) {
-      // Trim the scoreboard below the new cumulative ack. Originals
-      // delivered in order advance the RACK delivery frontier exactly like
-      // sacked ones; an entry straddling the ack is split so its unacked
-      // remainder keeps its delivery/loss state.
-      auto it = scoreboard_.begin();
-      while (it != scoreboard_.end() && it->first < ack_off) {
-        const SentSeg entry = it->second;
-        const uint64_t covered = std::min(entry.end, ack_off) - it->first;
-        if (entry.sacked) {
-          sacked_bytes_ -= covered;
-        }
-        if (entry.lost) {
-          lost_bytes_ -= covered;
-        }
-        if (!entry.retransmitted && !entry.sacked) {
-          if (entry.sent_at > rack_time_) {
-            rack_time_ = entry.sent_at;
-          }
-          rack_end_ = std::max(rack_end_, entry.end);
-        }
-        it = scoreboard_.erase(it);
-        if (entry.end > ack_off) {
-          scoreboard_[ack_off] = entry;  // Remainder keeps end and flags.
-          break;
-        }
-      }
-    }
-    if (in_recovery_) {
-      if (ack_off >= recovery_point_) {
-        in_recovery_ = false;  // Full ack: the loss event is repaired.
-        rto_recovery_ = false;
-        stats_.recovery_us_total +=
-            static_cast<uint64_t>((sim_->Now() - recovery_started_at_).nanos() / 1000);
-      } else if (!rto_recovery_ && !config_.features.sack) {
-        // Partial ack (RFC 6582 §3.2): exactly one more hole is exposed at
-        // the new head; retransmit it now. Recovery proceeds one hole per
-        // RTT, which is what keeps burst losses from stranding the flow
-        // until the RTO. (After an RTO the rewound send path is already
-        // resending everything below the recovery point — an extra one-MSS
-        // retransmit here would only duplicate it.)
-        SubmitRetransmit();
-      }
-    }
-    cc_->OnAck(ack_off - una, sim_->Now());
+    consecutive_rtos_ = 0;  // R2 accounting resets on progress.
+    Apply(recovery_->OnCumAck(ack_off, now));
+    cc_->OnAck(ack_off - una, now);
     ByteStreamQueue::Consumed consumed = sndq_.ConsumeTo(ack_off);
     int64_t syscall_units = 0;
     for (const BoundaryEntry& entry : consumed.completed) {
@@ -810,47 +729,25 @@ void TcpEndpoint::ProcessAck(const TcpSegment& seg) {
         writable_cb_();
       }
     }
-  } else if (config_.features.sack) {
-    // With a scoreboard, loss detection is SACK/RACK-driven (below): the
-    // dup-ack counter would misfire on acks whose only news is a SACK
-    // block, and the reordering window subsumes the ==3 heuristic.
   } else if (ack_off == una && snd_nxt_ > una && seg.len == 0 && seg.window <= prev_rwnd) {
-    // Duplicate ack for outstanding data: fast retransmit on the third
-    // (RFC 5681), once per loss event. A pure ack that GROWS the advertised
-    // window is a window update (the peer's app drained its receive queue),
-    // not evidence of loss — RFC 5681 requires the window to be unchanged.
-    // Genuine reorder/loss dup-acks still qualify: stashed out-of-order
-    // bytes consume receive buffer, so their window never grows.
-    ++dup_acks_;
-    if (dup_acks_ == 3 && !in_recovery_) {
-      // RFC 6582: while recovery is in progress, further dup-ack bursts
-      // belong to the same loss event — no second reduction.
-      cc_->OnDupAckThreshold();
-      in_recovery_ = true;
-      rto_recovery_ = false;
-      recovery_point_ = snd_nxt_;
-      recovery_started_at_ = sim_->Now();
-      ++stats_.recovery_events;
-      SubmitRetransmit();
-    } else if (dup_acks_ % 3 == 0 && in_recovery_ && !rto_recovery_) {
-      // The ack stream keeps producing dup acks with no forward progress:
-      // the recovery retransmission itself was lost (an incast port drops
-      // bursts, and the retransmit rides into the same full queue). Resend
-      // the head — without a second window reduction — or the connection
-      // idles until an RTO that is centuries long on this RTT scale. One
-      // MSS per three dup acks is ack-clocked and cannot burst.
-      SubmitRetransmit();
-    }
+    // Duplicate ack for outstanding data. A pure ack that GROWS the
+    // advertised window is a window update (the peer's app drained its
+    // receive queue), not evidence of loss — RFC 5681 requires the window
+    // to be unchanged. Genuine reorder/loss dup-acks still qualify: stashed
+    // out-of-order bytes consume receive buffer, so their window never
+    // grows. (The SACK policies ignore them: a dup-ack count would misfire
+    // on acks whose only news is a SACK block.)
+    Apply(recovery_->OnDupAck(snd_nxt_, now));
   }
-  if (config_.features.sack && (newly_sacked || ack_off > una)) {
-    DetectLosses();
+  if (newly_sacked || ack_off > una) {
+    Apply(recovery_->DetectLosses(snd_nxt_, rtt_, now));
   }
   if (config_.cc.ecn && cc_->decrease_events() > decreases_before) {
     cwr_pending_ = true;
   }
   // The ack may have released a Nagle hold, opened the peer window, or
   // exposed scoreboard holes to repair.
-  if (snd_nxt_ < sndq_.tail_offset() || (config_.features.sack && lost_bytes_ > 0)) {
+  if (snd_nxt_ < sndq_.tail_offset() || recovery_->has_lost()) {
     SubmitPush(&host_->softirq_core(), PushReason::kAckAdvance);
   }
 }
@@ -990,32 +887,31 @@ void TcpEndpoint::CancelTimer(EventId& id) {
   }
 }
 
-void TcpEndpoint::ArmDelackTimer() {
-  if (delack_timer_ != kInvalidEventId) {
-    return;
+template <typename Fn>
+void TcpEndpoint::ArmOnce(EventId& timer, Duration delay, Fn fire) {
+  if (timer == kInvalidEventId) {
+    timer = sim_->Schedule(delay, [&timer, fire] {
+      timer = kInvalidEventId;
+      fire();
+    });
   }
-  delack_timer_ = sim_->Schedule(config_.delack_timeout, [this] {
-    delack_timer_ = kInvalidEventId;
+}
+
+void TcpEndpoint::ArmDelackTimer() {
+  ArmOnce(delack_timer_, config_.delack_timeout, [this] {
     ++stats_.delack_timer_fires;
     SubmitPush(&host_->softirq_core(), PushReason::kDelackTimer);
   });
 }
 
 void TcpEndpoint::ArmNagleTimer() {
-  if (nagle_timer_ != kInvalidEventId) {
-    return;
-  }
-  nagle_timer_ = sim_->Schedule(config_.nagle_timeout, [this] {
-    nagle_timer_ = kInvalidEventId;
+  ArmOnce(nagle_timer_, config_.nagle_timeout, [this] {
     ++stats_.nagle_timer_fires;
     SubmitPush(&host_->softirq_core(), PushReason::kNagleTimer);
   });
 }
 
 void TcpEndpoint::ArmPersistTimer() {
-  if (persist_timer_ != kInvalidEventId) {
-    return;
-  }
   // Persist probes carry their own exponential backoff (RFC 1122 wants the
   // interval bounded, not the instantaneous RTO): each unanswered probe
   // doubles the interval up to persist_max_interval; a reopened window
@@ -1025,8 +921,7 @@ void TcpEndpoint::ArmPersistTimer() {
     interval = interval * 2;
   }
   interval = std::min(interval, config_.persist_max_interval);
-  persist_timer_ = sim_->Schedule(interval, [this] {
-    persist_timer_ = kInvalidEventId;
+  ArmOnce(persist_timer_, interval, [this] {
     if (dead_) {
       return;
     }
@@ -1059,27 +954,10 @@ void TcpEndpoint::ArmPersistTimer() {
 }
 
 void TcpEndpoint::ArmRtoTimer() {
-  if (rto_timer_ != kInvalidEventId) {
-    return;
-  }
-  // RACK mode arms a tail-loss probe ahead of the RTO when the flight is
-  // clean: PTO = 2*SRTT, plus the peer's worst-case delayed ack when the
-  // flight is too small to trigger an immediate ack (RFC 8985 §7.3).
-  Duration delay = rtt_.rto();
-  bool is_tlp = false;
-  if (config_.features.rack && config_.features.sack && !in_recovery_ && !tlp_out_ &&
-      lost_bytes_ == 0 && rtt_.srtt().has_value()) {
-    Duration pto = *rtt_.srtt() * 2;
-    if (snd_nxt_ - sndq_.head_offset() < 2 * static_cast<uint64_t>(config_.mss)) {
-      pto += config_.delack_timeout + Duration::Millis(2);
-    }
-    if (pto < delay) {
-      delay = pto;
-      is_tlp = true;
-    }
-  }
-  rto_timer_ = sim_->Schedule(delay, [this, is_tlp] {
-    rto_timer_ = kInvalidEventId;
+  // The policy may ask for a tail-loss probe ahead of the RTO (RACK-TLP).
+  const std::optional<Duration> pto = recovery_->ProbeTimeout(flight_bytes(), rtt_);
+  const bool is_tlp = pto.has_value();
+  ArmOnce(rto_timer_, pto.value_or(rtt_.rto()), [this, is_tlp] {
     if (is_tlp) {
       OnTlpFire();
     } else {
@@ -1092,27 +970,25 @@ void TcpEndpoint::OnTlpFire() {
   if (dead_ || snd_nxt_ == sndq_.head_offset()) {
     return;  // Everything got acked in the meantime.
   }
-  tlp_out_ = true;  // One probe per flight; the next timer is a real RTO.
+  const std::optional<SeqRange> tail = recovery_->OnProbe();
   ++stats_.tlp_probes;
   // RFC 8985: probe with new data when some exists and fits the window
   // (it doubles as useful transmission); otherwise re-send the tail
-  // segment so its (S)ACK exposes what the scoreboard is missing.
+  // segment the policy names.
   const uint64_t pending = sndq_.tail_offset() - snd_nxt_;
   const uint64_t window = std::min(peer_rwnd_, cc_->window_bytes());
   if (pending > 0 && PipeBytes() + std::min<uint64_t>(pending, config_.mss) <= window) {
     SubmitPush(&host_->softirq_core(), PushReason::kAckAdvance);
-  } else if (!scoreboard_.empty()) {
-    const auto tail = scoreboard_.rbegin();
-    const uint64_t start = tail->first;
-    const uint64_t len = tail->second.end - start;
+  } else if (tail.has_value()) {
     timed_end_.reset();  // Karn: the probe is a retransmission.
     CpuCore* core = &host_->softirq_core();
     core->Submit(
-        [this, core, start, len]() -> Duration {
-          if (dead_ || start < sndq_.head_offset() || start + len > snd_nxt_) {
+        [this, core, seg = *tail]() -> Duration {
+          if (dead_ || seg.start < sndq_.head_offset() || seg.end > snd_nxt_) {
             return Duration::Zero();  // Acked while the work was queued.
           }
-          return PlanProbe(core, BuildPacketFor(start, len, /*is_retransmit=*/true));
+          const uint64_t len = seg.end - seg.start;
+          return PlanProbe(core, BuildPacketFor(seg.start, len, /*is_retransmit=*/true));
         },
         [this, core] { TransmitProbe(core); });
   }
@@ -1140,32 +1016,10 @@ void TcpEndpoint::OnRtoFire() {
       return;
     }
   }
-  if (!in_recovery_) {
-    recovery_started_at_ = sim_->Now();
-    ++stats_.recovery_events;
-  }
-  in_recovery_ = true;
-  rto_recovery_ = true;
-  recovery_point_ = snd_nxt_;
   timed_end_.reset();  // Karn's rule: the timed range is being resent.
-  if (config_.features.sack) {
-    // SACK keeps what the receiver already holds: mark everything
-    // outstanding and undelivered lost and let the pipe-gated planning
-    // path repair hole-by-hole in slow start — no go-back-N rewind, no
-    // resending sacked data.
-    for (auto& [start, entry] : scoreboard_) {
-      if (!entry.sacked && !entry.lost) {
-        entry.lost = true;
-        lost_bytes_ += entry.end - start;
-      }
-    }
-  } else {
-    // Everything in flight is suspect. Rewind the send pointer to the head
-    // and let the ordinary cwnd-gated path resend the tail in slow start
-    // (what pre-SACK BSD stacks do): the window doubles each RTT, so a
-    // long consecutive drop run — the slow-start overshoot signature —
-    // repairs in log time instead of one retransmit per timeout. Segments
-    // below the recovery point go out marked as retransmissions.
+  if (recovery_->OnRto(snd_nxt_, sim_->Now())) {
+    // Go-back-N: segments below the recovery point go out marked as
+    // retransmissions.
     snd_nxt_ = sndq_.head_offset();
   }
   SubmitPush(&host_->softirq_core(), PushReason::kAckAdvance);
@@ -1185,6 +1039,37 @@ void TcpEndpoint::SubmitRetransmit() {
       [this, core] { TransmitPlanned(core); });
 }
 
+void TcpEndpoint::Apply(const RecoveryAction& action) {
+  if (action.repair_head) {
+    SubmitRetransmit();
+  }
+  if (action.loss_event) {
+    // One window reduction per loss event. CWR is set after the repair is
+    // submitted: a retransmission planned at once goes out without it
+    // (RFC 3168 §6.1.2 announces the reduction on new data).
+    cc_->OnDupAckThreshold();
+    if (config_.cc.ecn) {
+      cwr_pending_ = true;
+    }
+  }
+  if (action.recheck.has_value()) {
+    ArmRecheckTimer(*action.recheck);
+  }
+}
+
+void TcpEndpoint::ArmRecheckTimer(Duration delay) {
+  // A pending check re-evaluates and re-arms as needed.
+  ArmOnce(recheck_timer_, delay, [this] {
+    if (dead_) {
+      return;
+    }
+    Apply(recovery_->DetectLosses(snd_nxt_, rtt_, sim_->Now()));
+    if (recovery_->has_lost()) {
+      SubmitPush(&host_->softirq_core(), PushReason::kAckAdvance);
+    }
+  });
+}
+
 Duration TcpEndpoint::PlanProbe(CpuCore* core, PlannedPacket packet) {
   std::vector<PlannedPacket>& planned = PlannedOn(core);
   assert(planned.empty());
@@ -1202,195 +1087,13 @@ void TcpEndpoint::TransmitProbe(CpuCore* core) {
 }
 
 // ---------------------------------------------------------------------------
-// SACK scoreboard, RACK loss detection, timestamps, dead-peer machinery.
+// Timestamps, SACK generation, dead-peer machinery.
 // ---------------------------------------------------------------------------
 
 uint32_t TcpEndpoint::TsClockNow() const {
   // Microsecond clock, offset by one so a valid TSval/TSecr is never 0
   // (0 marks "no echo yet"). The +1 cancels in sender-side deltas.
   return static_cast<uint32_t>(sim_->Now().nanos() / 1000 + 1);
-}
-
-void TcpEndpoint::RecordSent(uint64_t start, uint64_t end, bool is_retransmit) {
-  if (!config_.features.sack) {
-    return;
-  }
-  auto it = scoreboard_.find(start);
-  if (it != scoreboard_.end() && it->second.end == end) {
-    // Retransmission of an existing entry: re-stamp its send time (so RACK
-    // can condemn a lost retransmission) and return it to the pipe.
-    SentSeg& entry = it->second;
-    entry.sent_at = sim_->Now();
-    entry.sack_floor = std::max(end, highest_sacked_);
-    if (is_retransmit) {
-      entry.retransmitted = true;
-    }
-    if (entry.lost) {
-      entry.lost = false;
-      lost_bytes_ -= end - start;
-    }
-    return;
-  }
-  SentSeg entry;
-  entry.end = end;
-  entry.sent_at = sim_->Now();
-  entry.sack_floor = std::max(end, highest_sacked_);
-  entry.retransmitted = is_retransmit;
-  scoreboard_[start] = entry;
-}
-
-uint64_t TcpEndpoint::PipeBytes() const {
-  const uint64_t outstanding = snd_nxt_ - sndq_.head_offset();
-  const uint64_t delivered_or_lost = sacked_bytes_ + lost_bytes_;
-  return outstanding > delivered_or_lost ? outstanding - delivered_or_lost : 0;
-}
-
-bool TcpEndpoint::ApplySackBlocks(const TcpSegment& seg, uint64_t una) {
-  if (!config_.features.sack || seg.sack.empty()) {
-    return false;
-  }
-  bool newly_sacked = false;
-  for (const SackBlock& block : seg.sack) {
-    const uint64_t start = UnwrapSeq(block.start, una);
-    const uint64_t end = start + static_cast<uint32_t>(block.end - block.start);
-    // Scoreboard entries mirror the wire segments the blocks were built
-    // from, so covered entries align; anything partially covered (stale
-    // block after a resegmenting retransmit) is left unsacked.
-    for (auto it = scoreboard_.lower_bound(start);
-         it != scoreboard_.end() && it->first < end; ++it) {
-      SentSeg& entry = it->second;
-      if (entry.sacked || entry.end > end) {
-        continue;
-      }
-      entry.sacked = true;
-      sacked_bytes_ += entry.end - it->first;
-      highest_sacked_ = std::max(highest_sacked_, entry.end);
-      if (entry.lost) {
-        // The reordering window fired early; the data arrived after all.
-        entry.lost = false;
-        lost_bytes_ -= entry.end - it->first;
-        ++stats_.spurious_loss_reverts;
-      }
-      if (!entry.retransmitted) {
-        // A delivered original advances the RACK frontier: anything sent
-        // reorder-window-earlier and still undelivered is presumed lost.
-        if (entry.sent_at > rack_time_) {
-          rack_time_ = entry.sent_at;
-        }
-        rack_end_ = std::max(rack_end_, entry.end);
-      }
-      newly_sacked = true;
-    }
-  }
-  return newly_sacked;
-}
-
-Duration TcpEndpoint::RackReorderWindow() const {
-  // RFC 8985's starting point: a quarter of the minimum RTT tolerates the
-  // reordering the path has shown room for without stalling detection.
-  if (rtt_.min_rtt().has_value()) {
-    return *rtt_.min_rtt() / 4;
-  }
-  return Duration::Millis(1);
-}
-
-void TcpEndpoint::EnterLossRecovery() {
-  if (in_recovery_) {
-    return;  // Same loss event; no second window reduction (RFC 6582).
-  }
-  cc_->OnDupAckThreshold();
-  if (config_.cc.ecn) {
-    cwr_pending_ = true;
-  }
-  in_recovery_ = true;
-  rto_recovery_ = false;
-  recovery_point_ = snd_nxt_;
-  recovery_started_at_ = sim_->Now();
-  ++stats_.recovery_events;
-}
-
-void TcpEndpoint::DetectLosses() {
-  if (!config_.features.sack || scoreboard_.empty() || rack_end_ == 0) {
-    return;  // Nothing delivered yet: no evidence to reason from.
-  }
-  bool newly_lost = false;
-  if (config_.features.rack) {
-    // RACK (RFC 8985, simplified): a segment sent no later than one the
-    // receiver has since delivered is lost once it has been outstanding
-    // longer than the delivering RTT plus the reordering window. Segments
-    // still inside the window get a timer so reordering that never
-    // resolves is caught without another ack.
-    const Duration timeout = rtt_.srtt().value_or(rtt_.rto()) + RackReorderWindow();
-    const TimePoint now = sim_->Now();
-    Duration min_remaining = Duration::Max();
-    for (auto& [start, entry] : scoreboard_) {
-      if (entry.sacked || entry.lost) {
-        continue;
-      }
-      const bool sent_before_delivered =
-          entry.sent_at < rack_time_ ||
-          (entry.sent_at == rack_time_ && entry.end <= rack_end_);
-      if (!sent_before_delivered) {
-        continue;
-      }
-      const Duration waited = now - entry.sent_at;
-      if (waited >= timeout) {
-        entry.lost = true;
-        lost_bytes_ += entry.end - start;
-        ++stats_.rack_marked_lost;
-        newly_lost = true;
-      } else {
-        min_remaining = std::min(min_remaining, timeout - waited);
-      }
-    }
-    if (min_remaining < Duration::Max()) {
-      ArmRackTimer(min_remaining);
-    }
-  } else {
-    // SACK without RACK: the RFC 6675 dupthresh analogue — an unsacked
-    // segment with three MSS of sacked data above it is lost. The floor is
-    // the sack high-water mark at the segment's last (re)transmission, so a
-    // lost retransmission is condemned again only by evidence that postdates
-    // it (a plain `end`-based rule would also stall forever on re-lost
-    // repairs, leaving the backed-off RTO as the only recourse). Evidence
-    // alone is still not enough for a repair in flight — its sack cannot
-    // arrive sooner than one RTT, so condemning before SRTT has elapsed
-    // just duplicates the repair.
-    const TimePoint now = sim_->Now();
-    const Duration rexmit_guard = rtt_.srtt().value_or(rtt_.rto());
-    for (auto& [start, entry] : scoreboard_) {
-      if (entry.sacked || entry.lost) {
-        continue;
-      }
-      if (entry.retransmitted && now - entry.sent_at < rexmit_guard) {
-        continue;
-      }
-      if (entry.sack_floor + 3 * static_cast<uint64_t>(config_.mss) <= highest_sacked_) {
-        entry.lost = true;
-        lost_bytes_ += entry.end - start;
-        newly_lost = true;
-      }
-    }
-  }
-  if (newly_lost) {
-    EnterLossRecovery();
-  }
-}
-
-void TcpEndpoint::ArmRackTimer(Duration delay) {
-  if (rack_timer_ != kInvalidEventId) {
-    return;  // The pending check re-evaluates and re-arms as needed.
-  }
-  rack_timer_ = sim_->Schedule(delay, [this] {
-    rack_timer_ = kInvalidEventId;
-    if (dead_) {
-      return;
-    }
-    DetectLosses();
-    if (lost_bytes_ > 0) {
-      SubmitPush(&host_->softirq_core(), PushReason::kAckAdvance);
-    }
-  });
 }
 
 std::vector<SackBlock> TcpEndpoint::BuildSackBlocks() const {
@@ -1430,13 +1133,7 @@ std::vector<SackBlock> TcpEndpoint::BuildSackBlocks() const {
 }
 
 void TcpEndpoint::ArmKeepaliveTimer(Duration delay) {
-  if (keepalive_timer_ != kInvalidEventId) {
-    return;
-  }
-  keepalive_timer_ = sim_->Schedule(delay, [this] {
-    keepalive_timer_ = kInvalidEventId;
-    OnKeepaliveFire();
-  });
+  ArmOnce(keepalive_timer_, delay, [this] { OnKeepaliveFire(); });
 }
 
 void TcpEndpoint::OnKeepaliveFire() {
@@ -1472,21 +1169,7 @@ void TcpEndpoint::OnKeepaliveFire() {
         if (dead_) {
           return Duration::Zero();
         }
-        auto seg = std::make_shared<TcpSegment>();
-        seg->seq = WrapSeq(probe_seq);
-        seg->len = 0;
-        StampOutgoing(*seg, false);
-        Packet packet;
-        packet.id = next_packet_id_++;
-        packet.wire_bytes = kWireHeaderBytes;
-        packet.dst_host = peer_host_;
-        packet.src_host = local_host_;
-        packet.payload = std::move(seg);
-        ++stats_.pure_acks_sent;
-        PlannedPacket p;
-        p.packet = std::move(packet);
-        p.cost = costs_->pure_ack_tx;
-        return PlanProbe(core, std::move(p));
+        return PlanProbe(core, BuildPureAck(false, probe_seq));
       },
       [this, core] { TransmitProbe(core); });
   ArmKeepaliveTimer(config_.keepalive.interval);
@@ -1499,11 +1182,7 @@ void TcpEndpoint::DeclareDeadPeer(const char* reason) {
   dead_peer_declared_ = true;
   ++stats_.dead_peer_declarations;
   if (TraceRecorder* tr = TraceIf(TraceCategory::kEstimator)) {
-    TraceEvent e;
-    e.time = sim_->Now();
-    e.category = TraceCategory::kEstimator;
-    e.name = "dead_peer";
-    e.track = EndpointTrack(tr, conn_id_, is_a_);
+    TraceEvent e = TraceOn(tr, TraceCategory::kEstimator, "dead_peer");
     tr->Record(e);
   }
   if (dead_peer_cb_) {
@@ -1588,11 +1267,7 @@ void TcpEndpoint::TrackThree(QueueKind kind, int64_t bytes, int64_t packets, int
   if (TraceRecorder* tr = TraceIf(TraceCategory::kQueue)) {
     // One event per Track call (all three unit modes share it): the byte
     // delta plus the queue's new size in bytes, on this endpoint's track.
-    TraceEvent e;
-    e.time = now;
-    e.category = TraceCategory::kQueue;
-    e.name = QueueKindName(kind);
-    e.track = EndpointTrack(tr, conn_id_, is_a_);
+    TraceEvent e = TraceOn(tr, TraceCategory::kQueue, QueueKindName(kind));
     e.k1 = "delta_bytes";
     e.v1 = static_cast<double>(bytes);
     e.k2 = "size_bytes";
@@ -1601,6 +1276,19 @@ void TcpEndpoint::TrackThree(QueueKind kind, int64_t bytes, int64_t packets, int
     e.v3 = static_cast<double>(queues_.Get(kind, UnitMode::kSyscalls).size());
     tr->Record(e);
   }
+}
+
+TraceEvent TcpEndpoint::TraceOn(TraceRecorder* tr, TraceCategory category,
+                                const char* name) const {
+  char track[32];
+  std::snprintf(track, sizeof(track), "conn%llu/%s", static_cast<unsigned long long>(conn_id_),
+                is_a_ ? "client" : "server");
+  TraceEvent e;
+  e.time = sim_->Now();
+  e.category = category;
+  e.name = name;
+  e.track = tr->Track(track);
+  return e;
 }
 
 }  // namespace e2e

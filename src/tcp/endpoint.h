@@ -3,11 +3,17 @@
 // Implements the transmit/receive machinery the paper's batching heuristics
 // live in: send/receive socket buffers, Nagle with a generalized cork limit,
 // auto-corking keyed off NIC TX completions, delayed acks with piggybacking,
-// flow control (advertised windows), TSO super-segments, RTO retransmission
-// with out-of-order reassembly — plus the instrumentation of the three
+// flow control (advertised windows), TSO super-segments, retransmission
+// timers with out-of-order reassembly — plus the instrumentation of the three
 // monitored queues (unacked / unread / ackdelay) in every kernel unit mode,
 // and the end-to-end metadata exchange, sent on change (periodic while
 // either side's queues move, parked while both are quiet).
+//
+// Which segments are lost and what to retransmit is decided by the
+// LossRecovery policy TcpConfig::features selects (src/tcp/loss_recovery.h:
+// NewReno, SACK or RACK-TLP), as the window is by the congestion-control
+// algorithm (src/tcp/cc). The endpoint keeps the timers, the CPU work and
+// the packet builders, and acts on what the policy answers.
 //
 // Threading model: application-side calls (Send/Recv/SetNoDelay/...) must be
 // made from work running on the host's app core; segment handling runs on
@@ -31,9 +37,11 @@
 #include "src/core/estimator.h"
 #include "src/core/hints.h"
 #include "src/net/host.h"
+#include "src/obs/trace.h"
 #include "src/sim/ring.h"
 #include "src/sim/simulator.h"
 #include "src/tcp/byte_stream.h"
+#include "src/tcp/loss_recovery.h"
 #include "src/tcp/rtt.h"
 #include "src/tcp/segment.h"
 #include "src/tcp/tcp_config.h"
@@ -177,7 +185,7 @@ class TcpEndpoint {
   uint64_t flight_bytes() const { return snd_nxt_ - sndq_.head_offset(); }
   uint64_t unsent_bytes() const { return sndq_.tail_offset() - snd_nxt_; }
   uint64_t peer_rwnd() const { return peer_rwnd_; }
-  bool in_recovery() const { return in_recovery_; }
+  bool in_recovery() const { return recovery_->in_recovery(); }
   // Time of the most recent segment arrival: the health layer's evidence
   // that the peer is talking at all (src/core/health.h).
   TimePoint last_rx() const { return last_rx_; }
@@ -185,7 +193,9 @@ class TcpEndpoint {
   bool is_a() const { return is_a_; }
   Host* host() { return host_; }
 
-  struct Stats {
+  // The counters the endpoint keeps itself; Stats adds its recovery
+  // policy's (RecoveryStats).
+  struct Counters {
     uint64_t sends = 0;
     uint64_t recvs = 0;
     uint64_t bytes_queued = 0;
@@ -210,12 +220,8 @@ class TcpEndpoint {
     uint64_t rtt_ts_samples = 0;      // Karn-safe timestamp RTT samples taken.
     uint64_t sack_blocks_sent = 0;    // Blocks actually emitted on acks.
     uint64_t sack_retransmits = 0;    // Hole repairs driven by the scoreboard.
-    uint64_t rack_marked_lost = 0;    // Segments the reordering window condemned.
-    uint64_t spurious_loss_reverts = 0;  // Lost-marked segments later sacked.
     uint64_t tlp_probes = 0;          // Tail-loss probes sent.
     uint64_t rto_fires = 0;           // Retransmission timeouts that fired.
-    uint64_t recovery_events = 0;     // Loss-recovery episodes entered.
-    uint64_t recovery_us_total = 0;   // Time spent inside recovery episodes.
     uint64_t dup_segments_received = 0;  // Fully-duplicate data arrivals (the
                                          // receiver-side spurious-retransmit
                                          // signal).
@@ -234,7 +240,8 @@ class TcpEndpoint {
     uint64_t cwr_sent = 0;        // Segments we sent carrying CWR.
     uint64_t cwr_received = 0;    // Segments that arrived carrying CWR.
   };
-  const Stats& stats() const { return stats_; }
+  struct Stats : Counters, RecoveryStats {};
+  Stats stats() const { return Stats{stats_, recovery_->stats()}; }
 
  private:
   // Why a push was triggered; controls Nagle-override and pure-ack behavior.
@@ -282,36 +289,32 @@ class TcpEndpoint {
   PlannedPacket BuildRetransmit();
   // Queues a retransmission of the head segment on the softirq core.
   void SubmitRetransmit();
+  // Carries out what the recovery policy asked for after an event.
+  void Apply(const RecoveryAction& action);
   // Builds the wire packet (with TSO slices when `take` exceeds one MSS)
   // for [start, start + take); shared by the two builders above.
   PlannedPacket BuildPacketFor(uint64_t start, uint64_t take, bool is_retransmit);
   void OnRtoFire();
   // Fills ack/window fields (and the e2e option when due) on a segment.
   void StampOutgoing(TcpSegment& seg, bool force_exchange);
-  PlannedPacket BuildPureAck(bool force_exchange);
+  // A zero-length segment at `seq`: a pure ack, or a keepalive probe.
+  PlannedPacket BuildPureAck(bool force_exchange, uint64_t seq);
 
   bool MaySendSmallNow(uint64_t pending, PushReason reason);
   uint64_t EffectiveCorkLimit() const;
 
-  // ---- SACK scoreboard / RACK / TLP (config_.features) ----
+  // ---- Options, probes and dead-peer machinery ----
 
-  // Records one wire segment [start, end) in the scoreboard (SACK on).
-  void RecordSent(uint64_t start, uint64_t end, bool is_retransmit);
-  // Applies the ack's SACK blocks; returns true if anything was newly sacked.
-  bool ApplySackBlocks(const TcpSegment& seg, uint64_t una);
-  // Marks scoreboard entries lost (RACK reordering window, or the 3-MSS
-  // SACK rule without RACK) and enters recovery on a new loss event.
-  void DetectLosses();
-  void EnterLossRecovery();
-  // Outstanding-and-undelivered bytes (RFC 6675 pipe).
-  uint64_t PipeBytes() const;
+  // Bytes the window counts as in flight (the policy's pipe).
+  uint64_t PipeBytes() const { return recovery_->InFlight(sndq_.head_offset(), snd_nxt_); }
   // Receiver: SACK blocks describing ooo_, most recent arrival first.
   std::vector<SackBlock> BuildSackBlocks() const;
   // Sender's microsecond timestamp clock (never returns 0).
   uint32_t TsClockNow() const;
-  Duration RackReorderWindow() const;
   void OnTlpFire();
-  void ArmRackTimer(Duration delay);
+  // Runs the policy's DetectLosses again after `delay` (RecoveryAction::
+  // recheck); one check pending at a time.
+  void ArmRecheckTimer(Duration delay);
   void ArmKeepaliveTimer(Duration delay);
   void OnKeepaliveFire();
   void DeclareDeadPeer(const char* reason);
@@ -328,6 +331,10 @@ class TcpEndpoint {
   // update cannot deadlock the connection.
   void ArmPersistTimer();
   void CancelTimer(EventId& id);
+  // Runs `fire` after `delay` unless `timer` is already armed; the timer
+  // reads unarmed again when it fires.
+  template <typename Fn>
+  void ArmOnce(EventId& timer, Duration delay, Fn fire);
   // Exchange on change (DESIGN.md §6): the timer fires every
   // e2e_exchange_interval while anything changes and parks once
   // ExchangeQuiet() holds; the next change resumes it.
@@ -345,6 +352,8 @@ class TcpEndpoint {
   // MSS-grid crossings in (from, to] — the "packets" unit accounting.
   int64_t PacketUnits(uint64_t from, uint64_t to) const;
   void TrackThree(QueueKind kind, int64_t bytes, int64_t packets, int64_t syscalls);
+  // An instant on this endpoint's trace track ("conn<N>/client|server").
+  TraceEvent TraceOn(TraceRecorder* tr, TraceCategory category, const char* name) const;
 
   Simulator* sim_;
   Host* host_;
@@ -372,47 +381,10 @@ class TcpEndpoint {
   bool nagle_override_pending_ = false;
   std::optional<uint64_t> timed_end_;  // RTT sample: ack target offset.
   TimePoint timed_sent_at_;
-  uint32_t dup_acks_ = 0;             // Consecutive duplicate acks seen.
-  // NewReno loss recovery (RFC 6582): set when a loss event (third dup ack
-  // or RTO) retransmits, covering everything sent before it. A partial ack
-  // below `recovery_point_` means the next hole is now at the head of the
-  // send queue — retransmit it immediately instead of waiting out another
-  // three-dup-ack round (which burst losses never produce) or an RTO.
-  bool in_recovery_ = false;
-  uint64_t recovery_point_ = 0;
-  // True when the current recovery was entered via RTO: the send pointer
-  // was rewound and the normal path is resending the tail, so partial acks
-  // must not inject extra one-MSS retransmits on top of it.
-  bool rto_recovery_ = false;
   bool hold_for_completion_ = false;  // Auto-cork armed.
-  TimePoint recovery_started_at_;     // Feeds Stats::recovery_us_total.
-
-  // SACK scoreboard (populated only when config_.features.sack): one entry
-  // per wire segment still outstanding, keyed by start offset. Entries are
-  // trimmed/split by cumulative acks and carry the delivery/loss state the
-  // RFC 6675 pipe and RACK reason over.
-  struct SentSeg {
-    uint64_t end = 0;
-    TimePoint sent_at;          // Most recent (re)transmission time.
-    // Sack high-water mark at the last (re)transmission: the 6675-style
-    // dupthresh rule needs 3 MSS of sack evidence *newer* than the send it
-    // judges, or a freshly retransmitted hole re-marks itself instantly.
-    uint64_t sack_floor = 0;
-    bool retransmitted = false;
-    bool sacked = false;
-    bool lost = false;          // Marked lost and not yet retransmitted.
-  };
-  std::map<uint64_t, SentSeg> scoreboard_;
-  uint64_t sacked_bytes_ = 0;
-  uint64_t lost_bytes_ = 0;
-  uint64_t highest_sacked_ = 0;  // Highest sacked end offset.
-  // RACK: send time / end offset of the most recently *delivered* segment
-  // that was never retransmitted (delivery order vs send order exposes
-  // losses without dup-ack counting).
-  TimePoint rack_time_;
-  uint64_t rack_end_ = 0;
-  EventId rack_timer_ = kInvalidEventId;  // Reordering-window re-check.
-  bool tlp_out_ = false;  // One tail-loss probe per flight.
+  // Loss detection, repair choice and the recovery episode.
+  std::unique_ptr<LossRecovery> recovery_;
+  EventId recheck_timer_ = kInvalidEventId;  // RecoveryAction::recheck.
   int consecutive_rtos_ = 0;  // R2 give-up accounting (rto_give_up).
 
   // RFC 7323 receiver state: the TSval to echo (ts_recent), per the
@@ -478,7 +450,7 @@ class TcpEndpoint {
   WritableFn writable_cb_;
   EstimateFn estimate_cb_;
   MetadataFilterFn metadata_filter_;
-  Stats stats_;
+  Counters stats_;
   uint64_t next_packet_id_ = 1;
   bool dead_ = false;
   std::vector<PlannedPacket> planned_[2];  // [0] app core, [1] softirq core.

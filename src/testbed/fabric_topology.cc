@@ -321,8 +321,6 @@ void FabricTopology::BuildLeafSpine() {
   FinishAllRxPaths();
 }
 
-Link& FabricTopology::c2s_final_link(int si) { return *server_at_.at(si).downlink; }
-Link& FabricTopology::s2c_final_link(int ci) { return *client_at_.at(ci).downlink; }
 Link& FabricTopology::client_uplink(int ci) { return *client_at_.at(ci).uplink; }
 Link& FabricTopology::server_uplink(int si) { return *server_at_.at(si).uplink; }
 

@@ -223,11 +223,6 @@ class FabricTopology {
     return config_.server_leaf_pin >= 0 ? config_.server_leaf_pin : si % config_.num_leaves;
   }
 
-  // Final-hop links: what a server receives requests on / a client receives
-  // responses on. On kDirect these are the two direct links; on switched
-  // shapes, the switch->host downlinks.
-  Link& c2s_final_link(int si = 0);
-  Link& s2c_final_link(int ci = 0);
   // The host->fabric uplink (== the host NIC's TX link).
   Link& client_uplink(int ci);
   Link& server_uplink(int si);

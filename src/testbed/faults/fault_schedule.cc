@@ -4,24 +4,6 @@
 
 namespace e2e {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kClientStall:
-      return "client_stall";
-    case FaultKind::kServerStall:
-      return "server_stall";
-    case FaultKind::kServerCrash:
-      return "server_crash";
-    case FaultKind::kMetaWithhold:
-      return "meta_withhold";
-    case FaultKind::kMetaDuplicate:
-      return "meta_duplicate";
-    case FaultKind::kMetaStaleReplay:
-      return "meta_stale_replay";
-  }
-  return "unknown";
-}
-
 FaultSchedule& FaultSchedule::Add(FaultKind kind, TimePoint at, Duration duration) {
   FaultEvent event;
   event.kind = kind;

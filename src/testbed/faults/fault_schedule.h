@@ -39,8 +39,6 @@ enum class FaultKind : uint8_t {
 
 inline constexpr int kNumFaultKinds = 6;
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultEvent {
   FaultKind kind = FaultKind::kClientStall;
   TimePoint at;       // Virtual time the fault begins.

@@ -13,9 +13,14 @@
 // Bytes are counted too, for what a fleet holds per idle connection: most
 // of a fleet cell's connections carry no request at a given moment, so
 // whatever their apps allocate up front is paid once per connection.
+//
+// Below all of it, the event queue itself: an event whose capture fits
+// InlineCallback's buffer is scheduled, canceled and popped without
+// touching the allocator.
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +30,7 @@
 
 #include "src/apps/lancet.h"
 #include "src/apps/redis_server.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/stats.h"
 #include "src/testbed/experiment.h"
 #include "src/testbed/fleet.h"
@@ -152,6 +158,57 @@ TEST(AllocBudgetTest, IdleFleetConnectionAppsStayUnderByteBudget) {
   const uint64_t bytes = g_bytes.load(std::memory_order_relaxed) - before;
   std::printf("idle fleet connection apps: %llu bytes\n", static_cast<unsigned long long>(bytes));
   EXPECT_LE(bytes, kMaxIdleAppBytes);
+}
+
+// Allocations per 1,000 pushes over `iterations` steady-state
+// schedule/cancel/pop iterations at a depth of 1,024 pending events, each
+// event capturing a pointer and `kBallast` bytes.
+template <size_t kBallast>
+double QueueAllocationsPerThousandPushes(size_t iterations) {
+  constexpr size_t kDepth = 1024;
+  EventQueue queue;
+  uint64_t fired = 0;
+  std::array<unsigned char, kBallast> ballast{};
+  ballast[0] = 1;
+  const auto callback = [&fired, ballast] { fired += ballast[0]; };
+  int64_t t = 0;
+  for (size_t i = 0; i < kDepth; ++i) {
+    queue.Push(TimePoint::FromNanos(++t), callback);
+  }
+  // Two pushes, the later one canceled (a timer re-arm), and one pop.
+  const auto iterate = [&] {
+    t += 2;
+    queue.Push(TimePoint::FromNanos(t), callback);
+    queue.Cancel(queue.Push(TimePoint::FromNanos(t + 1), callback));
+    queue.Pop().cb();
+  };
+  for (size_t i = 0; i < 8 * kDepth; ++i) {
+    iterate();  // Grows the slot store and heap to their steady size.
+  }
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (size_t i = 0; i < iterations; ++i) {
+    iterate();
+  }
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(fired, 8 * kDepth + iterations);
+  return 1000.0 * static_cast<double>(allocations) / static_cast<double>(2 * iterations);
+}
+
+// A Packet-sized capture (64 bytes beside a pointer: the event loop's
+// dominant closure, `this` plus a moved-in Packet) stays inline in the
+// queue's slot.
+TEST(AllocBudgetTest, QueuedEventWithPacketSizedCaptureAllocatesNothing) {
+  const double per_thousand = QueueAllocationsPerThousandPushes<64>(1000000);
+  std::printf("64-byte capture: %.1f allocations per 1,000 pushes\n", per_thousand);
+  EXPECT_EQ(per_thousand, 0.0);
+}
+
+// The counter sees the queue: a capture past InlineCallback's buffer
+// costs one allocation per push.
+TEST(AllocBudgetTest, OversizedCaptureAllocatesOncePerPush) {
+  const double per_thousand = QueueAllocationsPerThousandPushes<128>(1000000);
+  std::printf("128-byte capture: %.1f allocations per 1,000 pushes\n", per_thousand);
+  EXPECT_EQ(per_thousand, 1000.0);
 }
 
 TEST(AllocBudgetTest, EmptyHistogramAllocatesNothing) {

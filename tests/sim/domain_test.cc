@@ -19,6 +19,14 @@ std::string Entry(const std::string& tag, TimePoint at) {
   return tag + "@" + std::to_string(at.nanos());
 }
 
+// `prefix` followed by `n`, appended piece by piece: the equivalent
+// `"t" + std::to_string(n)` trips a false-positive -Wrestrict in GCC 12.
+std::string Tag(const char* prefix, int n) {
+  std::string tag = prefix;
+  tag += std::to_string(n);
+  return tag;
+}
+
 // A fixed 4-shard workload: each shard runs a self-rescheduling ticker with a
 // shard-specific period, and every third tick sends a cross-shard message to
 // the next shard at +lookahead. Per-domain logs have a single writer (the
@@ -45,10 +53,12 @@ struct ShardWorkload {
   }
 
   void Tick(int shard, int n) {
-    logs[shard + 1].push_back(Entry("t" + std::to_string(n), sim.Now()));
+    logs[shard + 1].push_back(Entry(Tag("t", n), sim.Now()));
     if (n % 3 == 0) {
       const int dst = (shard + 1) % kShards;
-      const std::string tag = "x" + std::to_string(shard) + "-" + std::to_string(n);
+      std::string tag = Tag("x", shard);
+      tag += '-';
+      tag += std::to_string(n);
       sim.ScheduleCrossAt(ids[dst], sim.Now() + lookahead,
                           [this, dst, tag] { logs[dst + 1].push_back(Entry(tag, sim.Now())); });
     }
@@ -114,7 +124,7 @@ TEST(DomainTest, GlobalEventRunsAtItsTimeAndCanPokeShards) {
     for (int n = 1; n <= 10; ++n) {
       sim.Schedule(Duration::Micros(n), [&sim, &log, shard, n] {
         EXPECT_EQ(sim.current_domain(), shard);
-        log.push_back(Entry("s" + std::to_string(n), sim.Now()));
+        log.push_back(Entry(Tag("s", n), sim.Now()));
       });
     }
   }
@@ -205,7 +215,7 @@ TEST(DomainTest, IdleDomainReactivatesOnCrossMessageAndGlobalPoke) {
     // Ticker, plus one cross message into the empty domain mid-run. Lives
     // at this scope so the by-reference captures outlive sim.Run().
     std::function<void(int)> tick = [&](int n) {
-      busy_log.push_back(Entry("t" + std::to_string(n), sim.Now()));
+      busy_log.push_back(Entry(Tag("t", n), sim.Now()));
       if (n == 5) {
         sim.ScheduleCrossAt(idle, sim.Now() + Duration::Micros(1),
                             [&] { idle_log.push_back(Entry("cross", sim.Now())); });
